@@ -37,7 +37,7 @@ from .hessenberg import (
     principal_minor,
 )
 from .numbers import IntPolynomial, binomial, fibonacci, kstep_fibonacci
-from .recurrence import build_coeffs, count_compositions, sequence_prefix
+from .recurrence import count_compositions, sequence_prefix
 from .reports import GridPoint, VerificationReport
 from .weakforms import (
     adjudicate_fib_block_identity,
@@ -69,7 +69,6 @@ __all__ = [
     "VerificationReport",
     "adjudicate_fib_block_identity",
     "binomial",
-    "build_coeffs",
     "build_matrix",
     "charpoly",
     "convolved_fibonacci",

@@ -58,15 +58,20 @@ class PartAlphabet:
             raise DomainError("upper bound must be a positive integer")
         return cls(parts=tuple((v, 1) for v in range(1, bound + 1)))
 
-    @property
-    def is_unbounded(self) -> bool:
-        return self.at_least_threshold is not None
-
-    @property
-    def min_part(self) -> int:
-        if self.at_least_threshold is not None:
-            return self.at_least_threshold
-        return self.parts[0][0]
+    def generating_function(self, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x): 1 / (1 - sum_v
+        q_v x^v) for an explicit alphabet, (1 - x) / (1 - x - x^K) for
+        {K, K+1, ...}. D is cut modulo x^length, which keeps c(0..length-1)
+        and keeps a huge part value from allocating a huge D."""
+        if self.at_least_threshold is None:
+            num, parts = (1,), self.parts
+        else:
+            num, parts = (1, -1), ((1, 1), (self.at_least_threshold, 1))
+        den = [1] + [0] * min(parts[-1][0], length - 1)
+        for value, multiplicity in parts:
+            if value < length:
+                den[value] -= multiplicity
+        return num, tuple(den)
 
     def multiplicity(self, value: int) -> int:
         """Number of colors of ``value``; 0 when the value is not allowed."""

@@ -35,6 +35,7 @@ from .weakforms import (
     count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
+    weak_counts,
 )
 
 EXIT_OK = 0
@@ -59,10 +60,10 @@ def parse_alphabet(text: str) -> PartAlphabet:
     parts = []
     for token in spec.split(","):
         token = token.strip()
-        value_text, _, mult_text = token.partition("x")
+        value_text, sep, mult_text = token.partition("x")
         try:
             value = int(value_text)
-            mult = int(mult_text) if mult_text else 1
+            mult = int(mult_text) if sep else 1
         except ValueError:
             raise AlphabetParseError(f"bad token {token!r} in alphabet spec {spec!r}") from None
         if value < 1 or mult < 1:
@@ -144,13 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    alphabet = parse_alphabet(args.alphabet)
-    rows = []
-    for n in range(1, args.n_max + 1):
-        if args.k is None:
-            rows.append((n, count_compositions(n, alphabet)))
-        else:
-            rows.append((n, count_weak_convolution(n, args.k, alphabet)))
+    values = weak_counts(args.n_max, args.k or 0, parse_alphabet(args.alphabet))
+    rows = enumerate(values[1:], start=1)
     if args.bfile:
         for n, value in rows:
             print(f"{n} {value}")
@@ -237,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # counts print in full
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -28,7 +28,10 @@ def effective_guard(guard: int | None = None) -> int:
     if guard is not None:
         return guard
     env = os.environ.get(GUARD_ENV_VAR)
-    return int(env) if env else DEFAULT_GUARD
+    try:
+        return int(env) if env else DEFAULT_GUARD
+    except ValueError:
+        raise DomainError(f"{GUARD_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _check_guard(label: str, value: int, guard: int | None):

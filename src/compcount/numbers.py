@@ -73,18 +73,22 @@ def convolve_prefix(xs: list[int], ys: list[int], length: int) -> list[int]:
     return out
 
 
-def convolution_power(seq, folds: int, index: int) -> int:
-    """Coefficient of x^index in (sum_j seq[j] x^j) ** folds, folds >= 1."""
+def power_prefix(seq, folds: int, length: int) -> list[int]:
+    """First ``length`` coefficients of (sum_j seq[j] x^j) ** folds, folds >= 1."""
     if folds < 1:
         raise DomainError(f"need at least one convolution factor, got {folds}")
-    if index < 0:
-        raise DomainError(f"coefficient index must be >= 0, got {index}")
-    length = index + 1
-    base = list(seq[:length]) + [0] * max(0, length - len(seq))
-    acc = base
+    base = list(seq[:length])
+    acc = base + [0] * (length - len(base))
     for _ in range(folds - 1):
         acc = convolve_prefix(acc, base, length)
-    return acc[index]
+    return acc
+
+
+def convolution_power(seq, folds: int, index: int) -> int:
+    """Coefficient of x^index in (sum_j seq[j] x^j) ** folds, folds >= 1."""
+    if index < 0:
+        raise DomainError(f"coefficient index must be >= 0, got {index}")
+    return power_prefix(seq, folds, index + 1)[index]
 
 
 @dataclass(frozen=True)

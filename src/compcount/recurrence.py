@@ -1,11 +1,10 @@
-"""Composition counts through their defining linear recurrence.
+"""Composition counts as coefficients of a rational generating function.
 
 Every composition of n >= 1 ends in some allowed value m with one of its
-q colors, so the counts satisfy c(n) = sum_i q_i * c(n - m_i) with
-c(0) = 1 and c(j) = 0 for j < 0. The helper sequence a_1 = 1,
-a_{m+1} = sum_{d>=1} p_d * a_{m+1-d} (p_d = multiplicity of value d)
-therefore reproduces a_{m+1} = c(m); it is also exactly the determinant
-sequence of the banded Hessenberg matrices built elsewhere.
+q colors, so c(n) = sum_i q_i * c(n - m_i) with c(0) = 1, and the counts
+are the series of the alphabet's N(x) / D(x). One kernel expands any such
+quotient; the sequence a_{m+1} = c(m) it yields is also exactly the
+determinant sequence of the banded Hessenberg matrices built elsewhere.
 
 Prefixes are cached per alphabet and grow monotonically, so repeated and
 increasing requests reuse earlier work; the cache is lock-protected and
@@ -21,42 +20,22 @@ _prefix_cache: dict[PartAlphabet, list[int]] = {}
 _cache_lock = threading.Lock()
 
 
-def build_coeffs(alphabet: PartAlphabet, length: int) -> list[int]:
-    """Recurrence coefficients p_1..p_length (lag d stored at index d-1).
-
-    p_d is the color multiplicity of value d; unbounded alphabets expand
-    to 1s from their threshold on. At least one coefficient must be
-    nonzero within ``length``.
-    """
-    if length < 1:
-        raise DomainError(f"coefficient vector length must be >= 1, got {length}")
-    coeffs = [alphabet.multiplicity(d) for d in range(1, length + 1)]
-    if not any(coeffs):
-        raise DomainError(f"no part of {alphabet} fits within length {length}")
-    return coeffs
-
-
-def _extend(terms: list[int], alphabet: PartAlphabet, target_len: int):
-    if alphabet.is_unbounded:
-        k = alphabet.at_least_threshold
-        # terms[m] is a_{m+1}; the next term needs sum(terms[0 .. m-k]),
-        # maintained as a running total.
-        cum = sum(terms[0 : max(0, len(terms) - k)])
-        while len(terms) < target_len:
-            m = len(terms)
-            if m - k >= 0:
-                cum += terms[m - k]
-            terms.append(cum)
-    else:
-        parts = alphabet.parts
-        while len(terms) < target_len:
-            m = len(terms)
-            new = 0
-            for value, q in parts:
-                if value > m:
-                    break
-                new += q * terms[m - value]
-            terms.append(new)
+def extend_series(terms: list[int], num, den, length: int) -> list[int]:
+    """Extend ``terms`` in place to the first ``length`` coefficients of
+    num(x) / den(x), den[0] = 1, and return it (pass [] to start afresh):
+    t_m = num_m - sum_{i>=1} den_i * t_{m-i}. The sum starts from its first
+    term, not 0, and unit lags skip the multiply: either would copy a big
+    int per lag and triple the cost of the two-lag unbounded series."""
+    lags = [(i, -d) for i, d in enumerate(den) if i and d]
+    for m in range(len(terms), length):
+        new = num[m] if m < len(num) else 0
+        for i, q in lags:
+            if i > m:
+                break
+            t = terms[m - i] if q == 1 else q * terms[m - i]
+            new = new + t if new else t
+        terms.append(new)
+    return terms
 
 
 def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
@@ -64,9 +43,8 @@ def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {n}")
     with _cache_lock:
-        terms = _prefix_cache.setdefault(alphabet, [1])
-        if len(terms) < n + 1:
-            _extend(terms, alphabet, n + 1)
+        terms = _prefix_cache.setdefault(alphabet, [])
+        extend_series(terms, *alphabet.generating_function(n + 1), n + 1)
         return terms[: n + 1]
 
 

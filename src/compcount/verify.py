@@ -117,6 +117,8 @@ def check_weak_parts12_closed(max_n, max_k, guard=None) -> VerificationReport:
 
 def run_identity(name: str, max_n: int, max_k: int, guard=None) -> list[VerificationReport]:
     """Reports for one identity name, or for all of them in a fixed order."""
+    if max_n < 0 or max_k < 0:
+        raise DomainError(f"grid sizes must be >= 0, got max_n={max_n}, max_k={max_k}")
     if name == "eq1":
         return [check_fib_convolution_identity(max_n)]
     if name == "thm8":

@@ -2,7 +2,8 @@
 
 A weak composition of n with exactly k zeros is cut by its zeros into k+1
 (possibly empty) zero-free blocks, so its count is the (k+1)-fold
-convolution of the zero-free counts. The same number is the sum of all
+convolution of the zero-free counts, i.e. [x^n] (N / D)^(k+1) for the
+alphabet's generating function N / D. The same number is the sum of all
 order-n principal minors of the order n+k recurrence matrix, giving a
 second, structurally different route. On top of these sit three explicit
 binomial formulas: unrestricted positive parts, positive parts in {1, 2},
@@ -14,19 +15,27 @@ from .alphabet import PartAlphabet
 from .enumeration import count_weak_brute
 from .errors import DomainError
 from .hessenberg import build_matrix, minor_sum_convolution, minor_sum_subsets
-from .numbers import binomial, convolution_power, fibonacci_prefix
-from .recurrence import sequence_prefix
+from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
+from .recurrence import extend_series
 from .reports import GridPoint, VerificationReport
 
 
-def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:
-    """Weak compositions of n with exactly k zeros over ``alphabet``:
-    sum over j_1+...+j_{k+1} = n (j_t >= 0) of prod_t c(j_t), with
-    c(0) = 1 counting the empty block."""
+def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
+    """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
+    the first n+1 coefficients of N^(k+1) / D^(k+1), both powers truncated
+    to n+1 terms. k = 0 gives the zero-free counts c(0..n)."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
-    blocks = sequence_prefix(alphabet, n)
-    return convolution_power(blocks, k + 1, n)
+    num, den = alphabet.generating_function(n + 1)
+    return extend_series(
+        [], power_prefix(num, k + 1, n + 1), power_prefix(den, k + 1, n + 1), n + 1
+    )
+
+
+def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:
+    """Weak compositions of n with exactly k zeros over ``alphabet``: sum
+    over j_1+...+j_{k+1} = n (j_t >= 0) of prod_t c(j_t), with c(0) = 1."""
+    return weak_counts(n, k, alphabet)[n]
 
 
 def count_weak_minor_sum(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ def test_parse_alphabet(spec, expected):
     ("1,two", "two"),
     ("3,2", "2"),
     ("1x0", "1x0"),
+    ("1x", "1x"),
     ("", "''"),
 ])
 def test_parse_alphabet_errors_name_the_token(spec, token):
@@ -65,6 +67,7 @@ def test_alphabet_string_round_trips_through_parser(alphabet):
         (("matrix", "1", "--alphabet", "all", "--print"), "1"),
         (("matrix", "3", "--alphabet", "all", "--charpoly"), "-4 5 -3 1"),
         (("matrix", "3", "--alphabet", "all", "--minorsum", "2"), "5"),
+        (("count", "7", "--alphabet", "1000000000000"), "0"),
     ],
 )
 def test_single_value_commands(capsys, argv, expected):
@@ -221,3 +224,42 @@ def test_guard_env_override_allows_larger_brute(capsys, monkeypatch):
                            "--method", "brute")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_non_integer_guard_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COMPCOUNT_GUARD", "abc")
+    code, out, err = run_cli(capsys, "count", "5", "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert "COMPCOUNT_GUARD" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--n-max", "-3"),
+    ("table", "--n-max", "-1", "--k", "2", "--bfile"),
+    ("verify", "--identity", "thm12", "--max-n", "-2"),
+    ("verify", "--identity", "eq1", "--max-k", "-1"),
+])
+def test_negative_grid_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert ">= 0" in err
+
+
+def test_counts_past_the_int_str_digit_limit_print_in_full(capsys):
+    code, out, _ = run_cli(capsys, "count", "20000")
+    assert code == 0
+    assert out == f"{2 ** 19999}\n"
+    assert len(out.strip()) == 6021
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_cli_output(capsys, case):
+    """stdout and exit code match those recorded before the counts, weak
+    counts and tables moved onto the rational generating function."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])

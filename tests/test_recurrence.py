@@ -5,7 +5,7 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
 from compcount.numbers import fibonacci, kstep_fibonacci
-from compcount.recurrence import build_coeffs, count_compositions, sequence_prefix
+from compcount.recurrence import count_compositions, extend_series, sequence_prefix
 from compcount.verify import BATTERY
 
 from strategies import alphabets
@@ -14,21 +14,34 @@ from strategies import alphabets
 @pytest.mark.parametrize(
     "alphabet,length,expected",
     [
-        (PartAlphabet.upto(2), 4, [1, 1, 0, 0]),
-        (PartAlphabet.of((1, 2)), 3, [2, 0, 0]),
-        (PartAlphabet.at_least(2), 4, [0, 1, 1, 1]),
-        (PartAlphabet.of((1, 1), (2, 3)), 5, [1, 3, 0, 0, 0]),
+        (PartAlphabet.at_least(1), 9, ((1, -1), (1, -2))),
+        (PartAlphabet.at_least(3), 9, ((1, -1), (1, -1, 0, -1))),
+        (PartAlphabet.at_least(3), 3, ((1, -1), (1, -1, 0))),
+        (PartAlphabet.of((1, 2), 3), 9, ((1,), (1, -2, 0, -1))),
+        (PartAlphabet.of((2, 3), (5, 1)), 9, ((1,), (1, 0, -3, 0, 0, -1))),
+        (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3, 0))),
+        (PartAlphabet.of(10**12), 4, ((1,), (1, 0, 0, 0))),
     ],
 )
-def test_build_coeffs_transcribes_multiplicities(alphabet, length, expected):
-    assert build_coeffs(alphabet, length) == expected
+def test_generating_function_transcribes_the_alphabet(alphabet, length, expected):
+    assert alphabet.generating_function(length) == expected
 
 
-def test_build_coeffs_rejects_empty_and_all_zero():
-    with pytest.raises(DomainError):
-        build_coeffs(PartAlphabet.upto(2), 0)
-    with pytest.raises(DomainError):
-        build_coeffs(PartAlphabet.of(3), 2)
+def test_extend_series_continues_a_given_prefix():
+    # 1 / (1 - x - x^2) is the Fibonacci series; the list is extended in place
+    terms = [1, 1, 2]
+    assert extend_series(terms, (1,), (1, -1, -1), 7) is terms
+    assert terms == [1, 1, 2, 3, 5, 8, 13]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(alphabets(max_multiplicity=1), st.integers(1, 4).map(PartAlphabet.at_least)))
+def test_generating_function_series_matches_brute(alphabet):
+    # One color per value keeps the brute stream at n = 12 within 2^11
+    # compositions; colored alphabets meet the brute oracle at n <= 9 below.
+    assert extend_series([], *alphabet.generating_function(13), 13) == [
+        count_compositions_brute(n, alphabet) for n in range(13)
+    ]
 
 
 @pytest.mark.parametrize(

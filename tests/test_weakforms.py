@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
-from compcount.numbers import fibonacci
-from compcount.recurrence import count_compositions
+from compcount.numbers import convolution_power, fibonacci
+from compcount.recurrence import count_compositions, sequence_prefix
 from compcount.reports import GridPoint, VerificationReport
 from compcount.verify import (
     BATTERY,
@@ -26,6 +26,7 @@ from compcount.weakforms import (
     count_weak_unrestricted_closed,
     fib_block_closed,
     fib_block_convolution,
+    weak_counts,
 )
 
 from strategies import alphabets
@@ -47,6 +48,19 @@ def test_count_weak_convolution_without_zeros_is_plain_count():
     for _, alphabet in BATTERY:
         for n in range(12):
             assert count_weak_convolution(n, 0, alphabet) == count_compositions(n, alphabet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(alphabets(), st.integers(1, 4).map(PartAlphabet.at_least)),
+    st.integers(0, 30),
+    st.integers(0, 5),
+)
+def test_weak_counts_equal_folded_count_sequence(alphabet, n, k):
+    prefix = sequence_prefix(alphabet, n)
+    assert weak_counts(n, k, alphabet) == [
+        convolution_power(prefix, k + 1, j) for j in range(n + 1)
+    ]
 
 
 @pytest.mark.parametrize(
