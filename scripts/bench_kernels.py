@@ -3,11 +3,11 @@
 
 recurrence: prefix evaluation of the counting recurrence (O(n*r) for r
 nonzero lags of the denominator D; r = 1 or 2 for unbounded alphabets).
-det: last-column Hessenberg determinant expansion, O(n^2) exact
-multiply-adds. conv: weak counts with two zeros as the series of
-N^3 / D^3, O(n * 3 deg D). One `suite n seconds
-digits` line per point; digits of the computed value double as a sanity
-check (the n=10000 recurrence count has 3010 digits).
+det: column 0 of the Hessenberg charpoly table, O(n * nonzero band
+entries) exact additions. conv: weak counts with two zeros as the series
+of N^3 / D^3, O(n * 3 deg D). One `suite n seconds digits` line per
+point; digits of the computed value double as a sanity check (the
+n=10000 recurrence count has 3010 digits).
 """
 
 import argparse

@@ -31,7 +31,7 @@ from .hessenberg import (
     det_hessenberg,
     format_matrix,
     minor_product_formula,
-    minor_sum_convolution,
+    minor_sum,
     minor_sum_subsets,
     parse_matrix,
     principal_minor,
@@ -90,7 +90,7 @@ __all__ = [
     "format_matrix",
     "kstep_fibonacci",
     "minor_product_formula",
-    "minor_sum_convolution",
+    "minor_sum",
     "minor_sum_subsets",
     "parse_matrix",
     "principal_minor",

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: count, weak, matrix, verify, table, bench. Standard output
+Subcommands: count, weak, matrix, verify, table. Standard output
 carries only machine-parseable results (integers, grids, columnar or JSON
 reports, CSV); diagnostics go to stderr. Exit codes: 0 success/agreement,
 1 identity disagreement, 2 usage or parse error, 3 guard violation,
@@ -16,7 +16,6 @@ Alphabet mini-grammar (--alphabet):
 import argparse
 import json
 import sys
-import time
 
 from .alphabet import PartAlphabet
 from .enumeration import count_compositions_brute, count_weak_brute
@@ -161,20 +160,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    alphabet = PartAlphabet.at_least(1)
-    started = time.perf_counter()
-    if args.suite == "recurrence":
-        value = count_compositions(args.n, alphabet)
-    elif args.suite == "det":
-        value = det_hessenberg(build_matrix(alphabet, args.n))
-    else:
-        value = count_weak_convolution(args.n, 2, alphabet)
-    elapsed = time.perf_counter() - started
-    print(f"suite={args.suite} n={args.n} seconds={elapsed:.3f} digits={len(str(value))}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compcount",
@@ -223,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bfile", action="store_true",
                    help="emit 'index value' lines, index starting at 1, no header")
     p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("bench", help="time one computation kernel")
-    p.add_argument("--suite", choices=("recurrence", "det", "conv"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

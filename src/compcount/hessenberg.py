@@ -2,13 +2,18 @@
 
 The matrices handled here have first row v_1..v_n repeated along the
 diagonals (entry(i, j) = v_{j-i+1} for j >= i), a constant -1 on the
-subdiagonal, and zeros below. Expanding the determinant across the last
-column gives det_n = sum_i v_{n-i+1} * det_{i-1} with det_0 = 1, an O(n^2)
-exact kernel that works for any band values. Deleting row and column i of
-such a matrix leaves a block-triangular matrix whose diagonal blocks are
-the order i-1 and order n-i matrices of the same band, which is why
-principal minors factor into products of leading determinants and why
-minor sums of a fixed order are convolutions of the determinant sequence.
+subdiagonal, and zeros below. Expanding chi_j = det(xI - M_j) of the
+leading order-j block across its last column gives chi_j = x chi_{j-1} +
+sum_d (-1)^d v_d chi_{j-d}, so the signed coefficients
+c_i(j) = (-1)^(j-i) [x^i] chi_j, each the sum of all order-(j-i)
+principal minors of M_j, obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d).
+One kernel fills that table column by column, over the nonzero band
+entries only, and the determinant c_0(n), the characteristic polynomial
+and the sums of principal minors of a fixed order r, c_{n-r}(n), are all
+read from it. Deleting row and column i of such a matrix leaves a
+block-triangular matrix whose diagonal blocks are the order i-1 and order
+n-i matrices of the same band, which is why principal minors factor into
+products of leading determinants.
 
 General dense determinants (submatrices of a Hessenberg matrix need not
 be Hessenberg) go through fraction-free Bareiss elimination: exact
@@ -22,7 +27,7 @@ from itertools import combinations
 
 from .alphabet import PartAlphabet
 from .errors import DomainError, GuardExceeded, IndexOutOfRange
-from .numbers import IntPolynomial, convolution_power
+from .numbers import IntPolynomial
 from .recurrence import sequence_prefix
 
 SUBSET_GUARD_DEFAULT = 22
@@ -68,13 +73,40 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> HessMatrix:
     return HessMatrix(tuple(alphabet.multiplicity(d) for d in range(1, n + 1)))
 
 
+def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
+    """Fill columns 0..``last`` of the charpoly table of ``matrix`` and
+    return the last cell of each column. Column i holds, for j = i..min(i +
+    width, n), c_i(j) = (-1)^(j-i) [x^i] det(xI - M_j): the sum of all
+    order-(j-i) principal minors of the leading order-j block M_j.
+
+    c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1,
+    runs over the nonzero band entries only and adds instead of
+    multiplying by 1. A cell at j reads its own column at i <= j-d and the
+    previous column at j-1, so cutting every column at j = i + width
+    leaves the cells it keeps exact.
+    """
+    n = matrix.order
+    lags = [(d, v) for d, v in enumerate(matrix.band, start=1) if v]
+    ends = []
+    previous = [1] + [0] * width
+    for i in range(last + 1):
+        column = []
+        for t in range(min(width, n - i) + 1):
+            value = previous[t]
+            for d, v in lags:
+                if d > t:
+                    break
+                value += column[t - d] if v == 1 else v * column[t - d]
+            column.append(value)
+        ends.append(column[-1])
+        previous = column
+    return ends
+
+
 def det_hessenberg(matrix: HessMatrix) -> int:
-    """Determinant by the last-column expansion recurrence, O(n^2) exact."""
-    band = matrix.band
-    dets = [1]
-    for j in range(1, matrix.order + 1):
-        dets.append(sum(band[j - i] * dets[i - 1] for i in range(1, j + 1)))
-    return dets[matrix.order]
+    """Determinant c_0(n) from the charpoly table, O(n * nonzero band
+    entries) exact operations."""
+    return _charpoly_columns(matrix, 0, matrix.order)[0]
 
 
 def det_bareiss(rows) -> int:
@@ -162,39 +194,27 @@ def _minor_sum_subsets(matrix, order):
     )
 
 
-def minor_sum_convolution(alphabet: PartAlphabet, n: int, k: int) -> int:
-    """Sum of all order n-k principal minors of the order-n matrix for
-    ``alphabet``, evaluated as the (k+1)-fold convolution of its
-    determinant sequence at n-k (each retained block contributes one
-    factor)."""
-    if not 0 <= k <= n:
-        raise DomainError(f"deleted count must be within 0..{n}, got {k}")
-    terms = sequence_prefix(alphabet, n - k)
-    return convolution_power(terms, k + 1, n - k)
-
-
 def charpoly(matrix: HessMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - M), monic of degree n, by the
-    leading-principal-submatrix recurrence
-    chi_j = (x - v_1) * chi_{j-1} + sum_{d=2..j} (-1)^d v_d chi_{j-d}.
+    """Characteristic polynomial det(xI - M), monic of degree n: the
+    coefficient of x^i is (-1)^(n-i) c_i(n), read from the last row of the
+    charpoly table.
 
     The coefficient of x^{n-r} equals (-1)^r times the sum of all order-r
     principal minors.
     """
-    band = matrix.band
-    polys = [[1]]
-    for j in range(1, matrix.order + 1):
-        prev = polys[j - 1]
-        current = [0] + prev
-        for idx, c in enumerate(prev):
-            current[idx] -= band[0] * c
-        for d in range(2, j + 1):
-            coeff = band[d - 1] if d % 2 == 0 else -band[d - 1]
-            if coeff:
-                for idx, c in enumerate(polys[j - d]):
-                    current[idx] += coeff * c
-        polys.append(current)
-    return IntPolynomial(tuple(polys[matrix.order]))
+    n = matrix.order
+    ends = _charpoly_columns(matrix, n, n)
+    return IntPolynomial(tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends)))
+
+
+def minor_sum(matrix: HessMatrix, order: int) -> int:
+    """Sum of all order-``order`` principal minors, c_{n-r}(n) for
+    r = ``order``, from the first n-r+1 columns of the charpoly table cut
+    to r+1 cells each: O((n-r) * r * nonzero band entries), unguarded."""
+    n = matrix.order
+    if not 0 <= order <= n:
+        raise DomainError(f"minor order must be within 0..{n}, got {order}")
+    return _charpoly_columns(matrix, n - order, order)[-1]
 
 
 def format_matrix(rows) -> str:

@@ -30,8 +30,6 @@ BATTERY: tuple[tuple[str, PartAlphabet], ...] = (
     ("1,2x3", PartAlphabet.of((1, 1), (2, 3))),
 )
 
-IDENTITY_NAMES = ("eq1", "thm8", "thm9", "thm10", "thm11", "thm12")
-
 
 def check_fib_convolution_identity(max_n: int) -> VerificationReport:
     """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n."""
@@ -45,7 +43,9 @@ def check_fib_convolution_identity(max_n: int) -> VerificationReport:
     )
 
 
-def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, guard=None):
+def _oracle_grid(
+    identity, value_fn, max_n, max_k, alphabet, guard=None, first_n=0, lhs_label="computed"
+):
     points = tuple(
         GridPoint(
             n=n,
@@ -53,11 +53,11 @@ def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, guard=None):
             lhs=value_fn(n, k),
             rhs=count_weak_brute(n, k, alphabet, guard),
         )
-        for n in range(max_n + 1)
+        for n in range(first_n, max_n + 1)
         for k in range(max_k + 1)
     )
     return VerificationReport(
-        identity=identity, points=points, lhs_label="computed", rhs_label="brute"
+        identity=identity, points=points, lhs_label=lhs_label, rhs_label="brute"
     )
 
 
@@ -93,18 +93,9 @@ def check_weak_minor_sum(max_n, max_k, guard=None) -> list[VerificationReport]:
 
 def check_weak_unrestricted_closed(max_n, max_k, guard=None) -> VerificationReport:
     """Unrestricted-parts closed form vs brute, n >= 1."""
-    points = tuple(
-        GridPoint(
-            n=n,
-            k=k,
-            lhs=count_weak_unrestricted_closed(n, k),
-            rhs=count_weak_brute(n, k, PartAlphabet.at_least(1), guard),
-        )
-        for n in range(1, max_n + 1)
-        for k in range(max_k + 1)
-    )
-    return VerificationReport(
-        identity="thm10", points=points, lhs_label="closed", rhs_label="brute"
+    return _oracle_grid(
+        "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
+        guard, first_n=1, lhs_label="closed",
     )
 
 
@@ -115,25 +106,24 @@ def check_weak_parts12_closed(max_n, max_k, guard=None) -> VerificationReport:
     )
 
 
+_REPORT_BUILDERS = {
+    "eq1": lambda max_n, max_k, guard: [check_fib_convolution_identity(max_n)],
+    "thm8": check_weak_block_convolution,
+    "thm9": check_weak_minor_sum,
+    "thm10": lambda max_n, max_k, guard: [check_weak_unrestricted_closed(max_n, max_k, guard)],
+    "thm11": lambda max_n, max_k, guard: [check_weak_parts12_closed(max_n, max_k, guard)],
+    "thm12": lambda max_n, max_k, guard: [
+        adjudicate_fib_block_identity(max(max_n, 1), max_k, guard)
+    ],
+}
+IDENTITY_NAMES = tuple(_REPORT_BUILDERS)
+
+
 def run_identity(name: str, max_n: int, max_k: int, guard=None) -> list[VerificationReport]:
     """Reports for one identity name, or for all of them in a fixed order."""
     if max_n < 0 or max_k < 0:
         raise DomainError(f"grid sizes must be >= 0, got max_n={max_n}, max_k={max_k}")
-    if name == "eq1":
-        return [check_fib_convolution_identity(max_n)]
-    if name == "thm8":
-        return check_weak_block_convolution(max_n, max_k, guard)
-    if name == "thm9":
-        return check_weak_minor_sum(max_n, max_k, guard)
-    if name == "thm10":
-        return [check_weak_unrestricted_closed(max_n, max_k, guard)]
-    if name == "thm11":
-        return [check_weak_parts12_closed(max_n, max_k, guard)]
-    if name == "thm12":
-        return [adjudicate_fib_block_identity(max(max_n, 1), max_k, guard)]
-    if name == "all":
-        reports = []
-        for identity in IDENTITY_NAMES:
-            reports.extend(run_identity(identity, max_n, max_k, guard))
-        return reports
-    raise DomainError(f"unknown identity {name!r}")
+    if name != "all" and name not in _REPORT_BUILDERS:
+        raise DomainError(f"unknown identity {name!r}")
+    names = IDENTITY_NAMES if name == "all" else (name,)
+    return [report for n in names for report in _REPORT_BUILDERS[n](max_n, max_k, guard)]

@@ -4,17 +4,18 @@ A weak composition of n with exactly k zeros is cut by its zeros into k+1
 (possibly empty) zero-free blocks, so its count is the (k+1)-fold
 convolution of the zero-free counts, i.e. [x^n] (N / D)^(k+1) for the
 alphabet's generating function N / D. The same number is the sum of all
-order-n principal minors of the order n+k recurrence matrix, giving a
-second, structurally different route. On top of these sit three explicit
-binomial formulas: unrestricted positive parts, positive parts in {1, 2},
-and a shifted Fibonacci-block identity whose claimed weak-composition
-target is adjudicated against the brute oracle rather than assumed.
+order-n principal minors of the order n+k recurrence matrix, read from
+that matrix's charpoly table: a second route that shares no kernel with
+the first. On top of these sit three explicit binomial formulas:
+unrestricted positive parts, positive parts in {1, 2}, and a shifted
+Fibonacci-block identity whose claimed weak-composition target is
+adjudicated against the brute oracle rather than assumed.
 """
 
 from .alphabet import PartAlphabet
 from .enumeration import count_weak_brute
 from .errors import DomainError
-from .hessenberg import build_matrix, minor_sum_convolution, minor_sum_subsets
+from .hessenberg import build_matrix, minor_sum, minor_sum_subsets
 from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
 from .recurrence import extend_series
 from .reports import GridPoint, VerificationReport
@@ -48,17 +49,17 @@ def count_weak_minor_sum(
     """The same count as the sum of all order-n principal minors of the
     order n+k matrix for ``alphabet``.
 
-    The default path evaluates that minor sum through the hessenberg
-    module's convolution form (no guard); ``subsets=True`` expands every
-    index subset explicitly, which is exponential and guarded.
+    The default path reads that minor sum from the matrix's charpoly table
+    (no guard), so it shares no kernel with the series route;
+    ``subsets=True`` expands every index subset explicitly, which is
+    exponential and guarded.
     """
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     if n + k == 0:
         return 1
-    if subsets:
-        return minor_sum_subsets(build_matrix(alphabet, n + k), n, guard)
-    return minor_sum_convolution(alphabet, n + k, k)
+    matrix = build_matrix(alphabet, n + k)
+    return minor_sum_subsets(matrix, n, guard) if subsets else minor_sum(matrix, n)
 
 
 def convolved_fibonacci(n: int, k: int) -> int:

@@ -16,11 +16,10 @@ from compcount.hessenberg import (
     det_bareiss,
     det_hessenberg,
     minor_product_formula,
-    minor_sum_convolution,
     minor_sum_subsets,
     principal_minor,
 )
-from compcount.numbers import fibonacci, kstep_fibonacci
+from compcount.numbers import convolution_power, fibonacci, kstep_fibonacci
 from compcount.recurrence import count_compositions, sequence_prefix
 from compcount.verify import BATTERY
 from compcount.weakforms import (
@@ -105,8 +104,8 @@ def test_criterion_05_minor_sums_and_products():
             for n in range(1, 13):
                 matrix = build_matrix(alphabet, n)
                 for k in range(n + 1):
-                    assert minor_sum_subsets(matrix, n - k) == minor_sum_convolution(
-                        alphabet, n, k
+                    assert minor_sum_subsets(matrix, n - k) == convolution_power(
+                        sequence_prefix(alphabet, n - k), k + 1, n - k
                     ), (alphabet, n, k)
         for _, alphabet in BATTERY:
             for n in range(1, 9):

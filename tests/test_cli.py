@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -176,23 +178,6 @@ def test_verify_all_reports_every_identity(capsys):
     assert names[0] == "eq1" and names[-1] == "thm12"
 
 
-def test_bench_emits_timing_line(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--suite", "recurrence", "--n", "200")
-    assert code == 0
-    fields = dict(part.split("=") for part in out.split())
-    assert fields["suite"] == "recurrence"
-    assert fields["n"] == "200"
-    assert fields["digits"] == str(len(str(2 ** 199)))
-    float(fields["seconds"])
-
-
-@pytest.mark.parametrize("suite,n", [("det", 40), ("conv", 30)])
-def test_bench_smoke(capsys, suite, n):
-    code, out, _ = run_cli(capsys, "bench", "--suite", suite, "--n", str(n))
-    assert code == 0
-    assert f"suite={suite}" in out
-
-
 def test_exit_code_guard(capsys):
     code, out, err = run_cli(capsys, "count", "30", "--method", "brute")
     assert code == 3
@@ -252,6 +237,65 @@ def test_counts_past_the_int_str_digit_limit_print_in_full(capsys):
     assert code == 0
     assert out == f"{2 ** 19999}\n"
     assert len(out.strip()) == 6021
+
+
+def _option(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+def _options(*options):
+    """Up to four of the given options, repeats and clashes included."""
+    return st.lists(st.one_of(*options), max_size=4).map(
+        lambda groups: [token for group in groups for token in group]
+    )
+
+
+# Small or malformed ints: brute-force work stays tiny at every value.
+_INTS = st.sampled_from([str(i) for i in range(-2, 6)] + ["x", "1.5"])
+_SPECS = st.sampled_from([
+    "all", "upto:1", "upto:3", "upto:0", "upto:x", "atleast:2", "atleast:0", "atleast:-1",
+    "atleast:1000000000000", "1x2,3", "2,7x3", "3,2", "1,1", "1x", "1x0", "0", "x", "", " , ",
+    "1000000000000",
+])
+_ALPHABET = _option("--alphabet", _SPECS)
+_ARGV = st.one_of(
+    st.tuples(st.just(["count"]), st.lists(_INTS, min_size=1, max_size=1), _options(
+        _ALPHABET, _option("--method", st.sampled_from(["recurrence", "det", "brute", "x"])))),
+    st.tuples(st.just(["weak"]), st.lists(_INTS, min_size=2, max_size=2), _options(
+        _ALPHABET, _option("--method", st.sampled_from(["conv", "minors", "closed", "brute"])))),
+    st.tuples(st.just(["matrix"]), st.lists(_INTS, min_size=1, max_size=1), _options(
+        _ALPHABET, _option("--minorsum", _INTS),
+        st.sampled_from([["--print"], ["--det"], ["--charpoly"]]))),
+    st.tuples(st.just(["verify"]), st.just([]), _options(
+        _option("--identity", st.sampled_from(["eq1", "thm8", "thm9", "thm10", "thm11",
+                                               "thm12", "all", "thm7"])),
+        _option("--max-n", _INTS), _option("--max-k", _INTS), st.just(["--json"]))),
+    st.tuples(st.just(["table"]), st.just([]), _options(
+        _ALPHABET, _option("--n-max", _INTS), _option("--k", _INTS), st.just(["--bfile"]))),
+    st.sampled_from([[], ["count"], ["weak", "1"], ["matrix", "1", "2"], ["bench"], ["nope"]])
+    .map(lambda argv: [argv, [], []]),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV, st.sampled_from([None, "abc", "", "-1", "0", "3", "25", " 7 ", "1e3"]))
+def test_exit_code_contract_on_random_argv(argv, guard):
+    """Exit codes stay in 0..4, 1 only from verify, and nothing but
+    argparse's SystemExit escapes main()."""
+    with pytest.MonkeyPatch.context() as patch:
+        if guard is None:
+            patch.delenv("COMPCOUNT_GUARD", raising=False)
+        else:
+            patch.setenv("COMPCOUNT_GUARD", guard)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+    assert code in range(5), argv
+    assert code != 1 or argv[0] == "verify", argv
 
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())

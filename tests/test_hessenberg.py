@@ -13,7 +13,7 @@ from compcount.hessenberg import (
     det_hessenberg,
     format_matrix,
     minor_product_formula,
-    minor_sum_convolution,
+    minor_sum,
     minor_sum_subsets,
     parse_matrix,
     principal_minor,
@@ -184,25 +184,26 @@ def test_minor_sums_by_subsets():
         == det_hessenberg(build_matrix(PartAlphabet.upto(2), 23))
 
 
-def test_minor_sum_convolution_values():
-    assert minor_sum_convolution(PartAlphabet.upto(3), 3, 1) == 5
-    assert minor_sum_convolution(PartAlphabet.upto(2), 2, 1) == 2
+def test_minor_sum_values():
+    assert minor_sum(build_matrix(PartAlphabet.upto(3), 3), 2) == 5
+    assert minor_sum(build_matrix(PartAlphabet.upto(2), 2), 1) == 2
     for n in (1, 4, 9):
-        assert minor_sum_convolution(PartAlphabet.upto(2), n, 0) == sequence_prefix(
+        assert minor_sum(build_matrix(PartAlphabet.upto(2), n), n) == sequence_prefix(
             PartAlphabet.upto(2), n
         )[n]
+        assert minor_sum(build_matrix(PartAlphabet.upto(2), n), 0) == 1
     with pytest.raises(DomainError):
-        minor_sum_convolution(PartAlphabet.upto(2), 3, 4)
+        minor_sum(build_matrix(PartAlphabet.upto(2), 3), 4)
+    with pytest.raises(DomainError):
+        minor_sum(build_matrix(PartAlphabet.upto(2), 3), -1)
 
 
-def test_minor_sum_convolution_matches_subsets():
+def test_minor_sum_matches_subsets():
     for _, alphabet in BATTERY:
         for n in range(1, 9):
             matrix = build_matrix(alphabet, n)
-            for k in range(n + 1):
-                assert minor_sum_subsets(matrix, n - k) == minor_sum_convolution(
-                    alphabet, n, k
-                ), (alphabet, n, k)
+            for r in range(n + 1):
+                assert minor_sum(matrix, r) == minor_sum_subsets(matrix, r), (alphabet, n, r)
 
 
 def test_battery_minors_are_nonnegative():
@@ -255,6 +256,7 @@ def test_charpoly_coefficients_on_random_bands(band):
     for r in range(n + 1):
         sign = 1 if r % 2 == 0 else -1
         assert poly.coefficient(n - r) == sign * minor_sum_subsets(matrix, r)
+        assert minor_sum(matrix, r) == minor_sum_subsets(matrix, r)
 
 
 def test_matrix_text_format_round_trip():

@@ -94,6 +94,13 @@ def test_count_weak_minor_sum_subset_variant_is_guarded():
         count_weak_minor_sum(20, 10, PartAlphabet.upto(2), subsets=True)
 
 
+@pytest.mark.parametrize("n,k", [(3, 2000), (0, 5000)])
+def test_count_weak_minor_sum_large_k(n, k):
+    # order n+k, minors of order n: only a window of n+1 cells per column
+    alphabet = PartAlphabet.at_least(1)
+    assert count_weak_minor_sum(n, k, alphabet) == count_weak_convolution(n, k, alphabet)
+
+
 def test_weak_routes_match_brute_across_battery():
     for _, alphabet in BATTERY:
         for n in range(10):
