@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Time the three fast counting kernels across a range of sizes.
+"""Time the fast counting kernels on `all` across a range of sizes.
 
 recurrence: prefix evaluation of the counting recurrence (O(n*r) for r
 nonzero lags of the denominator D; r = 1 or 2 for unbounded alphabets).
-det: column 0 of the Hessenberg charpoly table, O(n * nonzero band
-entries) exact additions. conv: weak counts with two zeros as the series
-of N^3 / D^3, O(n * 3 deg D). One `suite n seconds digits` line per
-point; digits of the computed value double as a sanity check (the
-n=10000 recurrence count has 3010 digits).
+det: column 0 of the Hessenberg charpoly table, n + 1 cells of one
+addition per nonzero head lag plus one for the band's constant tail (a
+running sum), so O(n) additions for an unbounded alphabet. charpoly: the
+whole table, O(n^2) such cells. minors: the weak count with six zeros as
+the sum of order-n minors of the order-(n+6) matrix, a table cut to
+(n+1) * 7 cells. conv: weak counts with two zeros as the series of
+N^3 / D^3, O(n * 3 deg D). One `suite n seconds digits` line per point;
+digits of the computed value double as a sanity check (the n=10000
+recurrence count has 3010 digits).
 """
 
 import argparse
@@ -15,19 +19,23 @@ import sys
 import time
 
 from compcount.alphabet import PartAlphabet
-from compcount.hessenberg import build_matrix, det_hessenberg
+from compcount.hessenberg import build_matrix, charpoly, det_hessenberg
 from compcount.recurrence import count_compositions
-from compcount.weakforms import count_weak_convolution
+from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
 
 SIZES = {
     "recurrence": (1000, 5000, 10000),
-    "det": (200, 500, 1000),
+    "det": (10000, 20000, 40000),
+    "charpoly": (250, 500, 1000),
+    "minors": (1000, 5000, 10000),
     "conv": (100, 250, 500),
 }
 
 KERNELS = {
     "recurrence": lambda n, a: count_compositions(n, a),
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
+    "charpoly": lambda n, a: charpoly(build_matrix(a, n)),
+    "minors": lambda n, a: count_weak_minor_sum(n, 6, a),
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
 }
 
@@ -36,6 +44,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(SIZES) + ["all"], default="all")
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
     suites = sorted(SIZES) if args.suite == "all" else [args.suite]
     alphabet = PartAlphabet.at_least(1)

@@ -94,11 +94,6 @@ def count_compositions_brute(n: int, alphabet: PartAlphabet, guard: int | None =
     if n < 0:
         raise DomainError(f"target must be >= 0, got {n}")
     _check_guard("n", n, guard)
-    return _count_brute(n, alphabet)
-
-
-@lru_cache(maxsize=None)
-def _count_brute(n, alphabet):
     return sum(1 for _ in _colored_stream(n, alphabet))
 
 

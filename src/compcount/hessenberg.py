@@ -7,10 +7,13 @@ leading order-j block across its last column gives chi_j = x chi_{j-1} +
 sum_d (-1)^d v_d chi_{j-d}, so the signed coefficients
 c_i(j) = (-1)^(j-i) [x^i] chi_j, each the sum of all order-(j-i)
 principal minors of M_j, obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d).
-One kernel fills that table column by column, over the nonzero band
-entries only, and the determinant c_0(n), the characteristic polynomial
-and the sums of principal minors of a fixed order r, c_{n-r}(n), are all
-read from it. Deleting row and column i of such a matrix leaves a
+One kernel fills that table column by column, and the determinant
+c_0(n), the characteristic polynomial and the sums of principal minors
+of a fixed order r, c_{n-r}(n), are all read from it. A cell costs one
+addition per nonzero band entry before the band's constant nonzero tail
+(the band of an unbounded alphabet is constant past its threshold), plus
+one for the whole tail, whose lags collapse to a running sum of the
+column. Deleting row and column i of such a matrix leaves a
 block-triangular matrix whose diagonal blocks are the order i-1 and order
 n-i matrices of the same band, which is why principal minors factor into
 products of leading determinants.
@@ -22,7 +25,6 @@ sign tracking for zero pivots.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .alphabet import PartAlphabet
@@ -79,24 +81,39 @@ def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
     width, n), c_i(j) = (-1)^(j-i) [x^i] det(xI - M_j): the sum of all
     order-(j-i) principal minors of the leading order-j block M_j.
 
-    c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1,
-    runs over the nonzero band entries only and adds instead of
-    multiplying by 1. A cell at j reads its own column at i <= j-d and the
-    previous column at j-1, so cutting every column at j = i + width
-    leaves the cells it keeps exact.
+    c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1.
+    When the band ends in a nonzero run v_T = ... = v_n = v, the lags
+    d >= T collapse to v * S_i(t - T), S_i being the running sum of the
+    column being filled and t = j - i the cell's place in it. So a cell
+    costs one addition per nonzero head lag d < T plus one for the tail,
+    and adds instead of multiplying by 1; a band ending in 0 has no tail.
+    A cell at j reads its own column at i <= j-d and the previous column
+    at j-1, so cutting every column at j = i + width leaves the cells it
+    keeps exact.
     """
     n = matrix.order
-    lags = [(d, v) for d, v in enumerate(matrix.band, start=1) if v]
+    band = matrix.band
+    tail = band[-1]
+    start = n + 1  # T, the first offset of the tail; past the band if v = 0
+    if tail:
+        start = n
+        while start > 1 and band[start - 2] == tail:
+            start -= 1
+    lags = [(d, v) for d, v in enumerate(band[: start - 1], start=1) if v]
     ends = []
     previous = [1] + [0] * width
     for i in range(last + 1):
         column = []
+        run = 0
         for t in range(min(width, n - i) + 1):
             value = previous[t]
             for d, v in lags:
                 if d > t:
                     break
                 value += column[t - d] if v == 1 else v * column[t - d]
+            if t >= start:
+                run += column[t - start]
+                value += run if tail == 1 else tail * run
             column.append(value)
         ends.append(column[-1])
         previous = column
@@ -104,8 +121,8 @@ def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
 
 
 def det_hessenberg(matrix: HessMatrix) -> int:
-    """Determinant c_0(n) from the charpoly table, O(n * nonzero band
-    entries) exact operations."""
+    """Determinant c_0(n) from column 0 of the charpoly table: n + 1 cells,
+    each one addition per nonzero head lag plus one for a constant tail."""
     return _charpoly_columns(matrix, 0, matrix.order)[0]
 
 
@@ -182,12 +199,6 @@ def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) 
     limit = SUBSET_GUARD_DEFAULT if guard is None else guard
     if n > limit:
         raise GuardExceeded(f"matrix order {n} exceeds the subset guard {limit}")
-    return _minor_sum_subsets(matrix, order)
-
-
-@lru_cache(maxsize=None)
-def _minor_sum_subsets(matrix, order):
-    n = matrix.order
     return sum(
         principal_minor(matrix, deleted)
         for deleted in combinations(range(1, n + 1), n - order)
@@ -210,7 +221,8 @@ def charpoly(matrix: HessMatrix) -> IntPolynomial:
 def minor_sum(matrix: HessMatrix, order: int) -> int:
     """Sum of all order-``order`` principal minors, c_{n-r}(n) for
     r = ``order``, from the first n-r+1 columns of the charpoly table cut
-    to r+1 cells each: O((n-r) * r * nonzero band entries), unguarded."""
+    to r+1 cells each: (n-r+1) * (r+1) cells, each one addition per
+    nonzero head lag plus one for a constant tail; unguarded."""
     n = matrix.order
     if not 0 <= order <= n:
         raise DomainError(f"minor order must be within 0..{n}, got {order}")

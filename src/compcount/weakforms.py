@@ -88,19 +88,22 @@ def _check_fib_args(n, k):
 
 
 def count_weak_unrestricted_closed(n: int, k: int) -> int:
-    """Weak compositions of n >= 1 with exactly k zeros, positive parts
+    """Weak compositions of n with exactly k zeros, positive parts
     unrestricted: sum_{i=0}^{k} 2^{n-k-1+i} * C(k+1, i) * C(n-1, k-i).
 
-    Each term's power of two is evaluated with its combined exponent
-    n-k-1+i; whenever that exponent is negative the binomial factor must
-    vanish, so the whole sum stays in integers. A nonzero factor next to
-    a negative exponent would mean the formula was transcribed wrong and
-    raises.
+    The theorem covers n >= 1; n = 0, outside it, returns 1, because the
+    only weak composition of 0 is k zeros. Each term's power of two is
+    evaluated with its combined exponent n-k-1+i; whenever that exponent
+    is negative the binomial factor must vanish, so the whole sum stays
+    in integers. A nonzero factor next to a negative exponent would mean
+    the formula was transcribed wrong and raises.
     """
-    if n < 1:
-        raise DomainError(f"target must be >= 1, got {n}")
+    if n < 0:
+        raise DomainError(f"target must be >= 0, got {n}")
     if k < 0:
         raise DomainError(f"zero count must be >= 0, got {k}")
+    if n == 0:
+        return 1
     total = 0
     for i in range(k + 1):
         factor = binomial(k + 1, i) * binomial(n - 1, k - i)

@@ -19,8 +19,19 @@ def alphabets(draw, max_value=8, max_multiplicity=3, max_threshold=4):
     return PartAlphabet(parts=parts)
 
 
+@st.composite
+def _tailed_bands(draw, max_order, max_abs):
+    order = draw(st.integers(1, max_order))
+    start = draw(st.integers(0, order - 1))
+    head = draw(st.lists(st.integers(-max_abs, max_abs), min_size=start, max_size=start))
+    return tuple(head) + (draw(st.integers(-2, 2)),) * (order - start)
+
+
 def bands(max_order=7, max_abs=9):
-    """Random integer bands for Hessenberg matrices."""
-    return st.lists(
+    """Random integer bands for Hessenberg matrices: free entries, or a free
+    head followed by a constant run starting anywhere, like the band of an
+    unbounded alphabet."""
+    free = st.lists(
         st.integers(-max_abs, max_abs), min_size=1, max_size=max_order
     ).map(tuple)
+    return st.one_of(free, _tailed_bands(max_order, max_abs))

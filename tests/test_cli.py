@@ -105,6 +105,13 @@ def test_weak_methods_agree(capsys, method):
         assert out == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["conv", "minors", "closed", "brute"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_weak_of_zero_prints_one(capsys, method, k):
+    code, out, _ = run_cli(capsys, "weak", "0", str(k), "--alphabet", "all", "--method", method)
+    assert (code, out) == (0, "1\n")
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--alphabet", "all", "--n-max", "5")
     assert code == 0

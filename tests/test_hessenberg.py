@@ -18,8 +18,10 @@ from compcount.hessenberg import (
     parse_matrix,
     principal_minor,
 )
+from compcount.numbers import fibonacci
 from compcount.recurrence import count_compositions, sequence_prefix
 from compcount.verify import BATTERY
+from compcount.weakforms import count_weak_unrestricted_closed
 
 from strategies import bands
 
@@ -120,6 +122,11 @@ def test_det_bareiss_matches_cofactor_oracle(rows):
 def test_det_hessenberg_matches_bareiss_on_any_band(band):
     matrix = HessMatrix(band)
     assert det_hessenberg(matrix) == det_bareiss(matrix.to_dense())
+
+
+def test_det_hessenberg_of_constant_tails_at_large_order():
+    assert det_hessenberg(build_matrix(PartAlphabet.at_least(1), 3000)) == 2**2999
+    assert det_hessenberg(build_matrix(PartAlphabet.at_least(2), 3000)) == fibonacci(2999)
 
 
 def test_det_hessenberg_matches_bareiss_across_battery():
@@ -257,6 +264,14 @@ def test_charpoly_coefficients_on_random_bands(band):
         sign = 1 if r % 2 == 0 else -1
         assert poly.coefficient(n - r) == sign * minor_sum_subsets(matrix, r)
         assert minor_sum(matrix, r) == minor_sum_subsets(matrix, r)
+
+
+def test_charpoly_of_all_parts_matches_unrestricted_closed_form():
+    n = 200
+    poly = charpoly(build_matrix(PartAlphabet.at_least(1), n))
+    for r in range(1, n + 1):
+        sign = 1 if r % 2 == 0 else -1
+        assert poly.coefficient(n - r) == sign * count_weak_unrestricted_closed(r, n - r)
 
 
 def test_matrix_text_format_round_trip():

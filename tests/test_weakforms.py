@@ -158,9 +158,16 @@ def test_unrestricted_closed_matches_brute():
             assert count_weak_unrestricted_closed(n, k) == count_weak_brute(n, k, alphabet)
 
 
-def test_unrestricted_closed_rejects_zero_target():
+def test_unrestricted_closed_zero_and_negative_targets():
+    assert [count_weak_unrestricted_closed(0, k) for k in range(4)] == [1, 1, 1, 1]
     with pytest.raises(DomainError):
-        count_weak_unrestricted_closed(0, 2)
+        count_weak_unrestricted_closed(-1, 2)
+
+
+def test_unrestricted_closed_equals_minor_sum_of_the_tailed_band():
+    assert count_weak_minor_sum(617, 6, PartAlphabet.at_least(1)) == (
+        count_weak_unrestricted_closed(617, 6)
+    )
 
 
 @pytest.mark.parametrize("n,k,expected", [(2, 1, 5), (2, 0, 2), (0, 3, 1)])
