@@ -9,9 +9,13 @@ running sum), so O(n) additions for an unbounded alphabet. charpoly: the
 whole table, O(n^2) such cells. minors: the weak count with six zeros as
 the sum of order-n minors of the order-(n+6) matrix, a table cut to
 (n+1) * 7 cells. conv: weak counts with two zeros as the series of
-N^3 / D^3, O(n * 3 deg D). One `suite n seconds digits` line per point;
-digits of the computed value double as a sanity check (the n=10000
-recurrence count has 3010 digits).
+N^3 / D^3, O(n * 3 deg D). brute: the brute-force oracle, one tally per
+weak sequence in the grid, so 2^n tallies for count_compositions_brute(n)
+on `all` (the weak table with no zeros) and more for weak_brute_table(n,
+k), which visits every sequence with sum <= n and at most k zeros. One
+`suite n [k] seconds digits` line per point; digits of the computed value
+(the grid's corner cell for a table) double as a sanity check (the
+n=10000 recurrence count has 3010 digits).
 """
 
 import argparse
@@ -19,6 +23,7 @@ import sys
 import time
 
 from compcount.alphabet import PartAlphabet
+from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import build_matrix, charpoly, det_hessenberg
 from compcount.recurrence import count_compositions
 from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
@@ -29,6 +34,7 @@ SIZES = {
     "charpoly": (250, 500, 1000),
     "minors": (1000, 5000, 10000),
     "conv": (100, 250, 500),
+    "brute": (16, 18, 20, (10, 3), (11, 3), (12, 3)),
 }
 
 KERNELS = {
@@ -37,6 +43,10 @@ KERNELS = {
     "charpoly": lambda n, a: charpoly(build_matrix(a, n)),
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
+    "brute": lambda size, a: (
+        count_compositions_brute(size, a) if isinstance(size, int)
+        else weak_brute_table(*size, a)[size[0]][size[1]]
+    ),
 }
 
 
@@ -50,11 +60,12 @@ def main(argv=None) -> int:
     suites = sorted(SIZES) if args.suite == "all" else [args.suite]
     alphabet = PartAlphabet.at_least(1)
     for suite in suites:
-        for n in SIZES[suite]:
+        for size in SIZES[suite]:
             started = time.perf_counter()
-            value = KERNELS[suite](n, alphabet)
+            value = KERNELS[suite](size, alphabet)
             elapsed = time.perf_counter() - started
-            print(f"suite={suite} n={n} seconds={elapsed:.3f} digits={len(str(value))}")
+            point = f"n={size}" if isinstance(size, int) else "n={} k={}".format(*size)
+            print(f"suite={suite} {point} seconds={elapsed:.3f} digits={len(str(value))}")
     return 0
 
 

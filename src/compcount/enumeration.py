@@ -1,16 +1,22 @@
-"""Brute-force ground truth: stream every composition, count weak ones by
-walking every sequence.
+"""Brute-force ground truth: stream every composition, and count weak ones
+by one walk over every sequence of a grid.
 
 Everything in this module trades speed for trust. It is the oracle the
 faster routes are validated against, so nothing here may use a recurrence,
-determinant, convolution, or closed form. Inputs are guarded (default
-limit 25, overridable per call or via the COMPCOUNT_GUARD environment
-variable); exceeding the guard raises instead of truncating, because an
-oracle must never return a wrong count.
+determinant, convolution, or closed form. ``enumerate_compositions``
+streams each colored composition as a ``Composition``. Counts come from
+``weak_brute_table``: one walk visits every sequence of zeros and alphabet
+values with sum at most max_n and at most max_k zeros, once each, and
+tallies it, weighted by its parts' color counts, into the cell for its own
+sum and zero count, so one walk answers a whole (n, k) grid. Inputs are
+guarded (default limit 25, overridable per call or via the
+COMPCOUNT_GUARD environment variable); exceeding the guard raises instead
+of truncating, because an oracle must never return a wrong count.
 """
 
 import itertools
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,43 +96,84 @@ def _colored_stream(n, alphabet):
 
 
 def count_compositions_brute(n: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
-    """Length of the enumerate_compositions stream."""
-    if n < 0:
-        raise DomainError(f"target must be >= 0, got {n}")
-    _check_guard("n", n, guard)
-    return sum(1 for _ in _colored_stream(n, alphabet))
+    """Colored compositions of ``n``: the weak count with no zeros, the
+    same number as the length of the enumerate_compositions stream."""
+    return count_weak_brute(n, 0, alphabet, guard)
 
 
 def count_weak_brute(n: int, k: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
     """Count sequences with exactly ``k`` zero parts and every other part a
-    colored alphabet value, summing to ``n``.
+    colored alphabet value, summing to ``n``: cell [n][k] of
+    ``weak_brute_table(n, k, alphabet)``."""
+    _check_table(n, k, guard)
+    # The walk is called directly: no extra frame, so every walk depth
+    # the recursion limit allowed before still fits.
+    return _weak_table(n, k, alphabet)[n][k]
 
-    Each placement of zeros and each value sequence is enumerated
-    explicitly (zeros may lead, trail, or be adjacent); the color choices
-    of a part enter as an exact per-part factor. No formula involved.
+
+def weak_brute_table(
+    max_n: int, max_k: int, alphabet: PartAlphabet, guard: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """t[n][k] for every n <= max_n and k <= max_k: the number of
+    sequences with exactly k zero parts and every other part a colored
+    alphabet value, summing to n.
+
+    One walk visits each such sequence explicitly, once (zeros may lead,
+    trail, or be adjacent); the color choices of a part enter as an exact
+    per-part factor. No formula involved. The guard applies to max_n and
+    max_k before any work is done.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
-    _check_guard("n", n, guard)
-    _check_guard("k", k, guard)
-    return _weak_brute(n, k, alphabet)
+    _check_table(max_n, max_k, guard)
+    return _weak_table(max_n, max_k, alphabet)
 
 
-@lru_cache(maxsize=None)
-def _weak_brute(n, k, alphabet):
-    parts = alphabet.parts_within(n)
+def _check_table(max_n, max_k, guard):
+    if max_n < 0 or max_k < 0:
+        raise DomainError(f"target and zero count must be >= 0, got n={max_n}, k={max_k}")
+    _check_guard("n", max_n, guard)
+    _check_guard("k", max_k, guard)
 
-    def rec(remaining, zeros):
-        if remaining == 0 and zeros == 0:
-            return 1
-        total = rec(remaining, zeros - 1) if zeros else 0
-        for value, colors in parts:
-            if value > remaining:
-                break
-            total += colors * rec(remaining - value, zeros)
-        return total
 
-    return rec(n, k)
+@lru_cache(maxsize=16)
+def _weak_table(max_n, max_k, alphabet):
+    parts = alphabet.parts_within(max_n)
+    # moves[r]: (r - v, colors of v) for every part value v <= r.
+    moves = [[(r - v, q) for v, q in parts if v <= r] for r in range(max_n + 1)]
+    # left[r][z] tallies the sequences with r left to sum and z zeros left
+    # to place, i.e. with sum max_n - r and max_k - z zeros. Column z = 0
+    # holds the most sequences, so it is tallied apart, in done[r], by a
+    # walk without the zero test.
+    left = [[0] * (max_k + 1) for _ in range(max_n + 1)]
+    done = [0] * (max_n + 1)
+
+    def walk_done(remaining, weight):
+        done[remaining] += weight
+        for rest, colors in moves[remaining]:
+            walk_done(rest, weight * colors)
+
+    def walk(remaining, zeros_left, weight):
+        left[remaining][zeros_left] += weight
+        if zeros_left > 1:
+            walk(remaining, zeros_left - 1, weight)
+        else:
+            walk_done(remaining, weight)
+        for rest, colors in moves[remaining]:
+            walk(rest, zeros_left, weight * colors)
+
+    try:
+        if max_k:
+            walk(max_n, max_k, 1)
+        else:
+            walk_done(max_n, 1)
+    except RecursionError:
+        depth = max_k + (max_n // parts[0][0] if parts else 0)
+        raise GuardExceeded(
+            f"brute-force walk depth {depth} exceeds the recursion limit"
+            f" {sys.getrecursionlimit()}"
+        ) from None
+    for row, tally in zip(left, done):
+        row[0] = tally
+    return tuple(tuple(reversed(row)) for row in reversed(left))
 
 
 def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet, guard: int | None = None) -> int:

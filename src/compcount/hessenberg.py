@@ -199,9 +199,10 @@ def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) 
     limit = SUBSET_GUARD_DEFAULT if guard is None else guard
     if n > limit:
         raise GuardExceeded(f"matrix order {n} exceeds the subset guard {limit}")
+    dense = matrix.to_dense()
     return sum(
-        principal_minor(matrix, deleted)
-        for deleted in combinations(range(1, n + 1), n - order)
+        det_bareiss([[dense[i][j] for j in kept] for i in kept])
+        for kept in combinations(range(n), order)
     )
 
 

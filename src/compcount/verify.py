@@ -8,7 +8,7 @@ colors, gaps (values with zero multiplicity), and unbounded expansion.
 """
 
 from .alphabet import PartAlphabet
-from .enumeration import count_weak_brute
+from .enumeration import weak_brute_table
 from .errors import DomainError
 from .reports import GridPoint, VerificationReport
 from .weakforms import (
@@ -46,14 +46,12 @@ def check_fib_convolution_identity(max_n: int) -> VerificationReport:
 def _oracle_grid(
     identity, value_fn, max_n, max_k, alphabet, guard=None, first_n=0, lhs_label="computed"
 ):
+    ns = range(first_n, max_n + 1)
+    # An empty grid reads no brute count, so it meets no guard.
+    brute = weak_brute_table(max_n, max_k, alphabet, guard) if ns else ()
     points = tuple(
-        GridPoint(
-            n=n,
-            k=k,
-            lhs=value_fn(n, k),
-            rhs=count_weak_brute(n, k, alphabet, guard),
-        )
-        for n in range(first_n, max_n + 1)
+        GridPoint(n=n, k=k, lhs=value_fn(n, k), rhs=brute[n][k])
+        for n in ns
         for k in range(max_k + 1)
     )
     return VerificationReport(

@@ -13,7 +13,7 @@ adjudicated against the brute oracle rather than assumed.
 """
 
 from .alphabet import PartAlphabet
-from .enumeration import count_weak_brute
+from .enumeration import weak_brute_table
 from .errors import DomainError
 from .hessenberg import build_matrix, minor_sum, minor_sum_subsets
 from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
@@ -173,7 +173,11 @@ def adjudicate_fib_block_identity(
     """
     if max_n < 1 or max_k < 0:
         raise DomainError(f"need max_n >= 1 and max_k >= 0, got {max_n}, {max_k}")
-    alphabet = PartAlphabet.at_least(2)
+    # One table holds every brute count read below: totals up to
+    # max_n + max_k - 1 with k zeros, and max_n + 1 with none.
+    brute = weak_brute_table(
+        max(max_n + max_k - 1, max_n + 1), max_k, PartAlphabet.at_least(2), guard
+    )
     points = []
     for n in range(1, max_n + 1):
         for k in range(max_k + 1):
@@ -183,15 +187,11 @@ def adjudicate_fib_block_identity(
                     k=k,
                     lhs=fib_block_closed(n, k),
                     rhs=fib_block_convolution(n, k),
-                    oracle=count_weak_brute(n + k - 1, k, alphabet, guard),
+                    oracle=brute[n + k - 1][k],
                 )
             )
     notes = []
-    shifted_matches = [
-        p.rhs == count_weak_brute(p.n + 1, 0, alphabet, guard)
-        for p in points
-        if p.k == 0
-    ]
+    shifted_matches = [p.rhs == brute[p.n + 1][0] for p in points if p.k == 0]
     if shifted_matches and all(shifted_matches):
         notes.append(
             "every k=0 row equals the direct zero-free count at total n+1,"

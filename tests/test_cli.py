@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,25 @@ def test_exit_code_guard(capsys):
     assert code == 3
     assert out == ""
     assert "guard" in err
+
+
+def test_verify_past_the_guard_is_refused_before_any_grid_work(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "26")
+    assert code == 3
+    assert out == ""
+    assert "guard" in err
+
+
+def test_brute_walk_deeper_than_the_recursion_limit_is_a_guard_violation():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COMPCOUNT_GUARD": "2000",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "compcount", "weak", "0", "1500", "--method",
+                           "brute"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "depth" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_exit_code_parse_error(capsys):

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
+from compcount import enumeration
 from compcount.enumeration import (
     Composition,
     count_compositions_brute,
     count_weak_brute,
     count_weak_insertion,
     enumerate_compositions,
+    weak_brute_table,
 )
 from compcount.errors import DomainError, GuardExceeded
 from compcount.verify import BATTERY
@@ -100,7 +102,34 @@ def test_count_weak_insertion_values(n, k, alphabet, expected):
 def test_weak_with_no_zeros_reduces_to_compositions():
     for _, alphabet in BATTERY:
         for n in range(10):
-            assert count_weak_brute(n, 0, alphabet) == count_compositions_brute(n, alphabet)
+            stream = enumerate_compositions(n, alphabet)
+            assert count_weak_brute(n, 0, alphabet) == sum(1 for _ in stream)
+
+
+def test_weak_brute_table_matches_insertion_across_battery():
+    for _, alphabet in BATTERY:
+        table = weak_brute_table(10, 3, alphabet)
+        assert [len(row) for row in table] == [4] * 11
+        for n in range(11):
+            for k in range(4):
+                assert table[n][k] == count_weak_insertion(n, k, alphabet), (alphabet, n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alphabets(), st.integers(0, 8), st.integers(0, 3))
+def test_weak_brute_table_vs_insertion_random_alphabets(alphabet, max_n, max_k):
+    table = weak_brute_table(max_n, max_k, alphabet)
+    assert table == tuple(
+        tuple(count_weak_insertion(n, k, alphabet) for k in range(max_k + 1))
+        for n in range(max_n + 1)
+    )
+
+
+def test_weak_brute_table_cache_is_bounded():
+    walk = enumeration._weak_table
+    for n in range(40):
+        weak_brute_table(n % 8, n // 8, PartAlphabet.upto(2))
+    assert walk.cache_info().currsize <= walk.cache_info().maxsize
 
 
 def test_weak_brute_agrees_with_insertion_across_battery():
@@ -127,11 +156,17 @@ def test_guard_refuses_large_targets():
         count_weak_brute(26, 0, PartAlphabet.upto(2))
     with pytest.raises(GuardExceeded):
         count_weak_brute(1, 26, PartAlphabet.upto(2))
+    with pytest.raises(GuardExceeded):
+        weak_brute_table(26, 0, PartAlphabet.upto(2))
+    with pytest.raises(GuardExceeded):
+        weak_brute_table(0, 26, PartAlphabet.upto(2))
 
 
 def test_guard_is_configurable_per_call():
     with pytest.raises(GuardExceeded):
         count_compositions_brute(5, PartAlphabet.upto(2), guard=4)
+    with pytest.raises(GuardExceeded):
+        weak_brute_table(5, 2, PartAlphabet.upto(2), guard=4)
     assert count_compositions_brute(26, PartAlphabet.of(13), guard=30) == 1
 
 
@@ -148,3 +183,5 @@ def test_negative_targets_rejected():
         count_compositions_brute(-1, PartAlphabet.upto(2))
     with pytest.raises(DomainError):
         count_weak_brute(2, -1, PartAlphabet.upto(2))
+    with pytest.raises(DomainError):
+        weak_brute_table(-1, 0, PartAlphabet.upto(2))

@@ -222,6 +222,19 @@ def test_adjudication_report_structure():
     assert any("n+1" in note for note in report.notes)
 
 
+@pytest.mark.parametrize("max_n,max_k", [(5, 4), (7, 1)])
+def test_adjudication_passes_the_guard_when_its_largest_point_fits(max_n, max_k):
+    assert len(adjudicate_fib_block_identity(max_n, max_k, guard=8).points) == max_n * (max_k + 1)
+
+
+@pytest.mark.parametrize("max_n,max_k", [(6, 4), (8, 1), (8, 0)])
+def test_adjudication_refuses_past_the_guard(max_n, max_k):
+    # the largest brute totals read are max_n + max_k - 1 (with k zeros)
+    # and max_n + 1 (the shifted k = 0 check); either past 8 is refused
+    with pytest.raises(GuardExceeded):
+        adjudicate_fib_block_identity(max_n, max_k, guard=8)
+
+
 def test_adjudication_text_serialization():
     report = adjudicate_fib_block_identity(3, 1)
     text = report.to_text()
