@@ -15,6 +15,7 @@ Alphabet mini-grammar (--alphabet):
 
 import argparse
 import json
+import os
 import sys
 
 from .alphabet import PartAlphabet
@@ -26,7 +27,14 @@ from .errors import (
     IndexOutOfRange,
     UnsupportedClosedForm,
 )
-from .hessenberg import build_matrix, charpoly, det_hessenberg, format_matrix, minor_sum_subsets
+from .hessenberg import (
+    build_matrix,
+    charpoly,
+    check_minor_subsets,
+    det_hessenberg,
+    format_matrix,
+    minor_sum_subsets,
+)
 from .recurrence import count_compositions
 from .verify import IDENTITY_NAMES, run_identity
 from .weakforms import (
@@ -117,6 +125,8 @@ def cmd_weak(args) -> int:
 
 def cmd_matrix(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
+    if args.minorsum is not None:
+        check_minor_subsets(args.n, args.minorsum)
     matrix = build_matrix(alphabet, args.n)
     if args.det:
         print(det_hessenberg(matrix))
@@ -231,4 +241,13 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`compcount table ... | head`): what it
+        # read is all it wanted, so this is success, not an error. Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)

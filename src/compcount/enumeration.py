@@ -137,14 +137,27 @@ def _check_table(max_n, max_k, guard):
 @lru_cache(maxsize=16)
 def _weak_table(max_n, max_k, alphabet):
     parts = alphabet.parts_within(max_n)
-    # moves[r]: (r - v, colors of v) for every part value v <= r.
-    moves = [[(r - v, q) for v, q in parts if v <= r] for r in range(max_n + 1)]
-    # left[r][z] tallies the sequences with r left to sum and z zeros left
-    # to place, i.e. with sum max_n - r and max_k - z zeros. Column z = 0
-    # holds the most sequences, so it is tallied apart, in done[r], by a
-    # walk without the zero test.
-    left = [[0] * (max_k + 1) for _ in range(max_n + 1)]
-    done = [0] * (max_n + 1)
+    # The walk visits only the sums left to reach that some sequence of
+    # parts leaves, as states numbered in the order found, so its
+    # ``remaining`` is a state: left_sums[s] is the sum left in state s,
+    # state 0 has max_n left, and moves[s] lists (state after a part v,
+    # colors of v) for every part v that fits.
+    state = {max_n: 0}
+    left_sums = [max_n]
+    for r in left_sums:  # grows while it is read
+        for v, _ in parts:
+            if v > r:
+                break
+            if r - v not in state:
+                state[r - v] = len(left_sums)
+                left_sums.append(r - v)
+    moves = [[(state[r - v], q) for v, q in parts if v <= r] for r in left_sums]
+    # left[s][z] tallies the sequences in state s with z zeros left to
+    # place, i.e. with sum max_n - left_sums[s] and max_k - z zeros. Column
+    # z = 0 holds the most sequences, so it is tallied apart, in done[s],
+    # by a walk without the zero test.
+    left = [[0] * (max_k + 1) for _ in left_sums]
+    done = [0] * len(left_sums)
 
     def walk_done(remaining, weight):
         done[remaining] += weight
@@ -162,18 +175,21 @@ def _weak_table(max_n, max_k, alphabet):
 
     try:
         if max_k:
-            walk(max_n, max_k, 1)
+            walk(0, max_k, 1)
         else:
-            walk_done(max_n, 1)
+            walk_done(0, 1)
     except RecursionError:
         depth = max_k + (max_n // parts[0][0] if parts else 0)
         raise GuardExceeded(
             f"brute-force walk depth {depth} exceeds the recursion limit"
             f" {sys.getrecursionlimit()}"
         ) from None
-    for row, tally in zip(left, done):
+    rows = {}
+    for r, row, tally in zip(left_sums, left, done):
         row[0] = tally
-    return tuple(tuple(reversed(row)) for row in reversed(left))
+        rows[max_n - r] = tuple(reversed(row))
+    zero = (0,) * (max_k + 1)  # shared by every sum no sequence reaches
+    return tuple(rows.get(n, zero) for n in range(max_n + 1))
 
 
 def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet, guard: int | None = None) -> int:

@@ -190,15 +190,22 @@ def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:
     return product * terms[n - previous]
 
 
-def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) -> int:
-    """Sum of all order-``order`` principal minors, by expanding every
-    index subset. Exponential; guarded by matrix order (default 22)."""
-    n = matrix.order
+def check_minor_subsets(n: int, order: int, guard: int | None = None):
+    """Refuse what minor_sum_subsets would refuse for an order-n matrix,
+    before the matrix is built: an order the guard refuses may not fit in
+    memory."""
     if not 0 <= order <= n:
         raise DomainError(f"minor order must be within 0..{n}, got {order}")
     limit = SUBSET_GUARD_DEFAULT if guard is None else guard
     if n > limit:
         raise GuardExceeded(f"matrix order {n} exceeds the subset guard {limit}")
+
+
+def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) -> int:
+    """Sum of all order-``order`` principal minors, by expanding every
+    index subset. Exponential; guarded by matrix order (default 22)."""
+    n = matrix.order
+    check_minor_subsets(n, order, guard)
     dense = matrix.to_dense()
     return sum(
         det_bareiss([[dense[i][j] for j in kept] for i in kept])

@@ -15,7 +15,7 @@ adjudicated against the brute oracle rather than assumed.
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
-from .hessenberg import build_matrix, minor_sum, minor_sum_subsets
+from .hessenberg import build_matrix, check_minor_subsets, minor_sum, minor_sum_subsets
 from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
 from .recurrence import extend_series
 from .reports import GridPoint, VerificationReport
@@ -58,6 +58,8 @@ def count_weak_minor_sum(
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     if n + k == 0:
         return 1
+    if subsets:
+        check_minor_subsets(n + k, n, guard)
     matrix = build_matrix(alphabet, n + k)
     return minor_sum_subsets(matrix, n, guard) if subsets else minor_sum(matrix, n)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -336,3 +337,34 @@ def test_golden_cli_output(capsys, case):
     counts and tables moved onto the rational generating function."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_a_closed_stdout_pipe_ends_quietly_with_exit_zero():
+    # `compcount table ... | head -1`: the reader stops after one line and
+    # closes the pipe; exit 1 would claim an identity disagreement.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-m", "compcount", "table", "--n-max", "3000"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert child.stdout.readline() == b"n,count\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""
+
+
+def test_minor_subsets_past_the_guard_are_refused_before_the_matrix_is_built(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["matrix", "10000000", "--minorsum", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "subset guard" in capsys.readouterr().err
+    assert peak < 1 << 20

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +132,22 @@ def test_weak_brute_table_cache_is_bounded():
     for n in range(40):
         weak_brute_table(n % 8, n // 8, PartAlphabet.upto(2))
     assert walk.cache_info().currsize <= walk.cache_info().maxsize
+
+
+def test_weak_brute_table_allocates_only_for_reachable_sums():
+    # One part value of 200000: only the sums 0 and 200000 are reached, so
+    # the other 199999 rows are one shared zero row, not a row each.
+    enumeration._weak_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = weak_brute_table(200000, 0, PartAlphabet.of(200000), guard=300000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        enumeration._weak_table.cache_clear()
+    assert (table[0], table[200000], len(table)) == ((1,), (1,), 200001)
+    assert sum(map(sum, table)) == 2
+    assert peak < 5 << 20
 
 
 def test_weak_brute_agrees_with_insertion_across_battery():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,8 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
 from compcount.numbers import fibonacci, kstep_fibonacci
-from compcount.recurrence import count_compositions, extend_series, sequence_prefix
+from compcount import recurrence
+from compcount.recurrence import count_compositions, extend_series, sequence_prefix, series_term
 from compcount.verify import BATTERY
 
 from strategies import alphabets
@@ -56,13 +59,13 @@ def test_sequence_prefix(alphabet, n, expected):
     assert sequence_prefix(alphabet, n) == expected
 
 
-def test_sequence_prefix_starts_at_one_and_reuses_cache():
+def test_sequence_prefix_starts_at_one_and_returns_fresh_lists():
     alphabet = PartAlphabet.of((2, 2), (5, 1))
     long = sequence_prefix(alphabet, 12)
     short = sequence_prefix(alphabet, 4)
     assert long[0] == 1
     assert long[:5] == short
-    short[0] = 999  # callers get copies, the cache must not see this
+    short[0] = 999  # a caller's edit must not reach a later call
     assert sequence_prefix(alphabet, 4)[0] == 1
 
 
@@ -127,7 +130,77 @@ def test_recurrence_agrees_with_brute_on_random_alphabets(alphabet, n):
 
 @settings(max_examples=20, deadline=None)
 @given(alphabets(), st.permutations(list(range(8))))
-def test_prefix_cache_is_order_independent(alphabet, order):
+def test_prefixes_agree_in_any_request_order(alphabet, order):
     expected = sequence_prefix(alphabet, 8)
     for n in order:
         assert sequence_prefix(alphabet, n) == expected[: n + 1]
+
+
+_coefficients = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+
+
+@st.composite
+def _quotients(draw):
+    """(num, den, n) with den[0] = 1: zero, negative and huge coefficients,
+    trailing zeros on either side, numerators as long as the denominator or
+    longer, and n from 0 up."""
+    den = [1] + draw(st.lists(_coefficients, max_size=12))
+    num = draw(st.lists(_coefficients, max_size=2 * len(den) + 2))
+    den += [0] * draw(st.integers(0, 3))
+    num += [0] * draw(st.integers(0, 3))
+    return tuple(num), tuple(den), draw(st.integers(0, 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quotients())
+def test_series_term_is_the_series_coefficient(quotient):
+    num, den, n = quotient
+    assert series_term(num, den, n) == extend_series([], num, den, n + 1)[n]
+
+
+@pytest.mark.parametrize(
+    "num,den,n,expected",
+    [
+        ((), (1, -1), 5, 0),
+        ((7,), (1,), 0, 7),
+        ((7,), (1,), 3, 0),
+        ((0, 0, 5), (1,), 2, 5),
+        ((1, 2, 3, 4, 5), (1, -1), 4, 15),  # numerator longer than D
+        ((1,), (1, 1), 9, -1),  # 1 / (1 + x) alternates
+        ((1, -1), (1, -2, 0, 0), 30, 2**29),  # trailing zeros in D
+    ],
+)
+def test_series_term_edge_cases(num, den, n, expected):
+    assert series_term(num, den, n) == expected
+
+
+def test_a_million_part_count_is_a_power_of_two():
+    # Try n = 10^6 only on a kernel that holds no prefix: the prefix of
+    # 10^6 terms would need about 60 GB. At n = 10^4 it holds 6 MB.
+    tracemalloc.start()
+    try:
+        count_compositions(10**4, PartAlphabet.at_least(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert count_compositions(10**6, PartAlphabet.at_least(1)) == 1 << (10**6 - 1)
+
+
+def test_a_single_count_holds_no_prefix():
+    # One count leaves nothing behind once it returns, at module level or
+    # anywhere else, and its peak stays within a few copies of the result:
+    # the series of all terms up to n would hold about n/2 of them.
+    names = dict(vars(recurrence))
+    tracemalloc.start()
+    try:
+        value = count_compositions(60000, PartAlphabet.upto(3))
+        _, peak = tracemalloc.get_traced_memory()
+        size = (value.bit_length() + 7) // 8
+        del value
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vars(recurrence) == names
+    assert peak < 8 * size
+    assert left < size // 2

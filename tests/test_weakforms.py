@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,15 @@ def test_count_weak_minor_sum_subset_variant_agrees():
 def test_count_weak_minor_sum_subset_variant_is_guarded():
     with pytest.raises(GuardExceeded):
         count_weak_minor_sum(20, 10, PartAlphabet.upto(2), subsets=True)
+    # refused before the order 10^7 matrix is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded):
+            count_weak_minor_sum(10**7, 0, PartAlphabet.at_least(1), subsets=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n,k", [(3, 2000), (0, 5000)])
