@@ -1,11 +1,13 @@
 """Part alphabets: the positive values a composition may use, with colors.
 
-An alphabet is either an explicit list of ``(value, multiplicity)`` pairs
-with strictly increasing values (``multiplicity`` = number of
-distinguishable colors of that value), or the unbounded family
-``{k, k+1, k+2, ...}`` given by a threshold ``k`` with one color each.
-For any fixed target ``n`` the unbounded form behaves exactly like the
-explicit alphabet ``{k, ..., n}``.
+An alphabet is either an interval ``{lo, ..., hi}`` of values with one
+color each, where ``hi = None`` means unbounded, or an explicit list of
+``(value, multiplicity)`` pairs with strictly increasing values
+(``multiplicity`` = number of distinguishable colors of that value). An
+explicit list of consecutive one-color values is stored as its interval,
+so ``PartAlphabet.of(1, 2) == PartAlphabet.upto(2)``. An interval takes
+O(1) space whatever its bounds; for any fixed target ``n`` the unbounded
+one behaves exactly like ``{lo, ..., n}``.
 
 All counts in this package are plain Python ``int`` (arbitrary precision,
 exact equality); instances are frozen and hashable so they can key caches.
@@ -19,14 +21,17 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class PartAlphabet:
     parts: tuple[tuple[int, int], ...] = ()
-    at_least_threshold: int | None = None
+    interval: tuple[int, int | None] | None = None
 
     def __post_init__(self):
-        if self.at_least_threshold is not None:
+        if self.interval is not None:
+            lo, hi = self.interval
             if self.parts:
-                raise DomainError("an unbounded alphabet carries no explicit parts")
-            if self.at_least_threshold < 1:
+                raise DomainError("an interval alphabet carries no explicit parts")
+            if lo < 1:
                 raise DomainError("threshold must be a positive integer")
+            if hi is not None and hi < lo:
+                raise DomainError(f"empty interval {lo}..{hi}")
             return
         if not self.parts:
             raise DomainError("alphabet needs at least one part value")
@@ -37,6 +42,10 @@ class PartAlphabet:
             if multiplicity < 1:
                 raise DomainError(f"multiplicity of part {value} must be >= 1")
             previous = value
+        lo, hi = self.parts[0][0], self.parts[-1][0]
+        if hi - lo + 1 == len(self.parts) and all(q == 1 for _, q in self.parts):
+            object.__setattr__(self, "parts", ())
+            object.__setattr__(self, "interval", (lo, hi))
 
     @classmethod
     def of(cls, *parts) -> "PartAlphabet":
@@ -49,25 +58,30 @@ class PartAlphabet:
     @classmethod
     def at_least(cls, threshold: int) -> "PartAlphabet":
         """The unbounded alphabet {threshold, threshold+1, ...}, one color each."""
-        return cls(at_least_threshold=threshold)
+        return cls(interval=(threshold, None))
 
     @classmethod
     def upto(cls, bound: int) -> "PartAlphabet":
-        """The explicit alphabet {1, 2, ..., bound}, one color each."""
+        """The alphabet {1, 2, ..., bound}, one color each."""
         if bound < 1:
             raise DomainError("upper bound must be a positive integer")
-        return cls(parts=tuple((v, 1) for v in range(1, bound + 1)))
+        return cls(interval=(1, bound))
 
     def generating_function(self, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x): 1 / (1 - sum_v
-        q_v x^v) for an explicit alphabet, (1 - x) / (1 - x - x^K) for
-        {K, K+1, ...}. D is cut modulo x^length, which keeps c(0..length-1)
-        and keeps a huge part value from allocating a huge D."""
-        if self.at_least_threshold is None:
-            num, parts = (1,), self.parts
+        q_v x^v) for an explicit alphabet or a bounded interval, (1 - x) /
+        (1 - x - x^K) for {K, K+1, ...}. D is cut modulo x^length, which
+        keeps c(0..length-1) and keeps a huge part value from allocating a
+        huge D."""
+        if self.interval is None:
+            num, parts, top = (1,), self.parts, self.parts[-1][0]
         else:
-            num, parts = (1, -1), ((1, 1), (self.at_least_threshold, 1))
-        den = [1] + [0] * min(parts[-1][0], length - 1)
+            lo, hi = self.interval
+            if hi is None:
+                num, parts, top = (1, -1), ((1, 1), (lo, 1)), lo
+            else:
+                num, parts, top = (1,), self.parts_within(length - 1), hi
+        den = [1] + [0] * min(top, length - 1)
         for value, multiplicity in parts:
             if value < length:
                 den[value] -= multiplicity
@@ -75,8 +89,9 @@ class PartAlphabet:
 
     def multiplicity(self, value: int) -> int:
         """Number of colors of ``value``; 0 when the value is not allowed."""
-        if self.at_least_threshold is not None:
-            return 1 if value >= self.at_least_threshold else 0
+        if self.interval is not None:
+            lo, hi = self.interval
+            return 1 if lo <= value and (hi is None or value <= hi) else 0
         for v, q in self.parts:
             if v == value:
                 return q
@@ -86,11 +101,18 @@ class PartAlphabet:
 
     def parts_within(self, limit: int) -> tuple[tuple[int, int], ...]:
         """All (value, multiplicity) pairs with value <= limit, ascending."""
-        if self.at_least_threshold is not None:
-            return tuple((v, 1) for v in range(self.at_least_threshold, limit + 1))
+        if self.interval is not None:
+            lo, hi = self.interval
+            top = limit if hi is None else min(hi, limit)
+            return tuple((v, 1) for v in range(lo, top + 1))
         return tuple((v, q) for v, q in self.parts if v <= limit)
 
     def __str__(self):
-        if self.at_least_threshold is not None:
-            return f"atleast:{self.at_least_threshold}"
+        if self.interval is not None:
+            lo, hi = self.interval
+            if hi is None:
+                return f"atleast:{lo}"
+            if lo == 1:
+                return f"upto:{hi}"
+            return ",".join(map(str, range(lo, hi + 1)))
         return ",".join(f"{v}x{q}" if q > 1 else str(v) for v, q in self.parts)

@@ -131,7 +131,7 @@ def cmd_matrix(args) -> int:
     if args.det:
         print(det_hessenberg(matrix))
     elif args.charpoly:
-        print(charpoly(matrix))
+        print(" ".join(map(str, charpoly(matrix))))
     elif args.minorsum is not None:
         print(minor_sum_subsets(matrix, args.minorsum))
     else:

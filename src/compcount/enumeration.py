@@ -4,21 +4,20 @@ by one walk over every sequence of a grid.
 Everything in this module trades speed for trust. It is the oracle the
 faster routes are validated against, so nothing here may use a recurrence,
 determinant, convolution, or closed form. ``enumerate_compositions``
-streams each colored composition as a ``Composition``. Counts come from
-``weak_brute_table``: one walk visits every sequence of zeros and alphabet
-values with sum at most max_n and at most max_k zeros, once each, and
-tallies it, weighted by its parts' color counts, into the cell for its own
-sum and zero count, so one walk answers a whole (n, k) grid. Inputs are
-guarded (default limit 25, overridable per call or via the
-COMPCOUNT_GUARD environment variable); exceeding the guard raises instead
-of truncating, because an oracle must never return a wrong count.
+streams each colored composition as a tuple of ``(value, color)`` pairs.
+Counts come from ``weak_brute_table``: one walk visits every sequence of
+zeros and alphabet values with sum at most max_n and at most max_k zeros,
+once each, and tallies it, weighted by its parts' color counts, into the
+cell for its own sum and zero count, so one walk answers a whole (n, k)
+grid. Inputs are guarded (default limit 25, overridable per call or via
+the COMPCOUNT_GUARD environment variable); exceeding the guard raises
+instead of truncating, because an oracle must never return a wrong count.
 """
 
 import itertools
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .alphabet import PartAlphabet
@@ -46,24 +45,6 @@ def _check_guard(label: str, value: int, guard: int | None):
         raise GuardExceeded(f"{label}={value} exceeds the enumeration guard {limit}")
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered sequence of (value, color) parts; zero parts carry color 1."""
-
-    parts: tuple[tuple[int, int], ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.parts)
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.parts)
-
-    def total(self) -> int:
-        return sum(self.values)
-
-
 def _value_sequences(n: int, alphabet: PartAlphabet):
     # Ascending first part, then recurse: yields value tuples in
     # lexicographic order (all sequences sum to n, so none is a prefix
@@ -79,8 +60,9 @@ def _value_sequences(n: int, alphabet: PartAlphabet):
 def enumerate_compositions(n: int, alphabet: PartAlphabet, guard: int | None = None):
     """Stream every colored composition of ``n`` over ``alphabet``.
 
-    Order is lexicographic by value sequence, then by color sequence.
-    ``n = 0`` yields exactly the empty composition.
+    Each composition is a tuple of ``(value, color)`` pairs, colors
+    counted from 1. Order is lexicographic by value sequence, then by color
+    sequence. ``n = 0`` yields exactly the empty composition ``()``.
     """
     if n < 0:
         raise DomainError(f"target must be >= 0, got {n}")
@@ -92,7 +74,7 @@ def _colored_stream(n, alphabet):
     for values in _value_sequences(n, alphabet):
         color_ranges = [range(1, alphabet.multiplicity(v) + 1) for v in values]
         for colors in itertools.product(*color_ranges):
-            yield Composition(tuple(zip(values, colors)))
+            yield tuple(zip(values, colors))
 
 
 def count_compositions_brute(n: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
@@ -199,5 +181,5 @@ def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet, guard: int | No
     if k < 0:
         raise DomainError(f"zero count must be >= 0, got {k}")
     _check_guard("k", k, guard)
-    lengths = Counter(len(comp.parts) for comp in enumerate_compositions(n, alphabet, guard))
+    lengths = Counter(map(len, enumerate_compositions(n, alphabet, guard)))
     return sum(count * binomial(p + k, k) for p, count in lengths.items())

@@ -29,8 +29,6 @@ from itertools import combinations
 
 from .alphabet import PartAlphabet
 from .errors import DomainError, GuardExceeded, IndexOutOfRange
-from .numbers import IntPolynomial
-from .recurrence import sequence_prefix
 
 SUBSET_GUARD_DEFAULT = 22
 
@@ -174,22 +172,6 @@ def principal_minor(matrix: HessMatrix, deleted) -> int:
     return det_bareiss(dense)
 
 
-def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:
-    """Principal minor of the order-n matrix for ``alphabet`` as a product
-    of determinant-sequence terms over the gaps between deleted indices:
-    deleting i_1 < ... < i_k leaves block-triangular pieces of orders
-    i_1 - 1, i_2 - i_1 - 1, ..., n - i_k, so the minor is
-    a_{i_1} * a_{i_2 - i_1} * ... * a_{n - i_k + 1}."""
-    indices = _validate_deleted(deleted, n)
-    terms = sequence_prefix(alphabet, n)
-    product = 1
-    previous = 0
-    for i in indices:
-        product *= terms[i - previous - 1]
-        previous = i
-    return product * terms[n - previous]
-
-
 def check_minor_subsets(n: int, order: int, guard: int | None = None):
     """Refuse what minor_sum_subsets would refuse for an order-n matrix,
     before the matrix is built: an order the guard refuses may not fit in
@@ -213,17 +195,17 @@ def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) 
     )
 
 
-def charpoly(matrix: HessMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - M), monic of degree n: the
-    coefficient of x^i is (-1)^(n-i) c_i(n), read from the last row of the
-    charpoly table.
+def charpoly(matrix: HessMatrix) -> tuple[int, ...]:
+    """Coefficients of the characteristic polynomial det(xI - M), monic of
+    degree n, ascending: the coefficient of x^i is (-1)^(n-i) c_i(n), read
+    from the last row of the charpoly table.
 
     The coefficient of x^{n-r} equals (-1)^r times the sum of all order-r
     principal minors.
     """
     n = matrix.order
     ends = _charpoly_columns(matrix, n, n)
-    return IntPolynomial(tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends)))
+    return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
 def minor_sum(matrix: HessMatrix, order: int) -> int:

@@ -7,6 +7,8 @@ unbounded, bounded, and multi-colored alphabets so every code path sees
 colors, gaps (values with zero multiplicity), and unbounded expansion.
 """
 
+from functools import partial
+
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
@@ -59,34 +61,18 @@ def _oracle_grid(
     )
 
 
-def check_weak_block_convolution(max_n, max_k, guard=None) -> list[VerificationReport]:
-    """Convolution route vs brute weak counts, per battery alphabet."""
+def _battery(identity, count_fn, max_n, max_k, guard=None) -> list[VerificationReport]:
+    """``count_fn(n, k, alphabet)`` vs brute weak counts, per battery alphabet."""
     return [
-        _oracle_grid(
-            f"thm8[{label}]",
-            lambda n, k, a=alphabet: count_weak_convolution(n, k, a),
-            max_n,
-            max_k,
-            alphabet,
-            guard,
-        )
+        _oracle_grid(f"{identity}[{label}]", lambda n, k, a=alphabet: count_fn(n, k, a),
+                     max_n, max_k, alphabet, guard)
         for label, alphabet in BATTERY
     ]
 
 
-def check_weak_minor_sum(max_n, max_k, guard=None) -> list[VerificationReport]:
-    """Minor-sum route vs brute weak counts, per battery alphabet."""
-    return [
-        _oracle_grid(
-            f"thm9[{label}]",
-            lambda n, k, a=alphabet: count_weak_minor_sum(n, k, a),
-            max_n,
-            max_k,
-            alphabet,
-            guard,
-        )
-        for label, alphabet in BATTERY
-    ]
+# The convolution route (thm8) and the minor-sum route (thm9).
+check_weak_block_convolution = partial(_battery, "thm8", count_weak_convolution)
+check_weak_minor_sum = partial(_battery, "thm9", count_weak_minor_sum)
 
 
 def check_weak_unrestricted_closed(max_n, max_k, guard=None) -> VerificationReport:

@@ -15,7 +15,7 @@ adjudicated against the brute oracle rather than assumed.
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
-from .hessenberg import build_matrix, check_minor_subsets, minor_sum, minor_sum_subsets
+from .hessenberg import build_matrix, minor_sum
 from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
 from .recurrence import extend_series
 from .reports import GridPoint, VerificationReport
@@ -39,29 +39,15 @@ def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:
     return weak_counts(n, k, alphabet)[n]
 
 
-def count_weak_minor_sum(
-    n: int,
-    k: int,
-    alphabet: PartAlphabet,
-    subsets: bool = False,
-    guard: int | None = None,
-) -> int:
+def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
     """The same count as the sum of all order-n principal minors of the
-    order n+k matrix for ``alphabet``.
-
-    The default path reads that minor sum from the matrix's charpoly table
-    (no guard), so it shares no kernel with the series route;
-    ``subsets=True`` expands every index subset explicitly, which is
-    exponential and guarded.
-    """
+    order n+k matrix for ``alphabet``, read from that matrix's charpoly
+    table (unguarded), so it shares no kernel with the series route."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     if n + k == 0:
         return 1
-    if subsets:
-        check_minor_subsets(n + k, n, guard)
-    matrix = build_matrix(alphabet, n + k)
-    return minor_sum_subsets(matrix, n, guard) if subsets else minor_sum(matrix, n)
+    return minor_sum(build_matrix(alphabet, n + k), n)
 
 
 def convolved_fibonacci(n: int, k: int) -> int:

@@ -7,9 +7,14 @@ from compcount.alphabet import PartAlphabet
 
 @st.composite
 def alphabets(draw, max_value=8, max_multiplicity=3, max_threshold=4):
-    """Small random alphabets: explicit multi-colored or unbounded."""
-    if draw(st.booleans()):
+    """Small random alphabets: explicit multi-colored, a bounded interval
+    {lo, ..., hi}, or an unbounded one {lo, lo+1, ...}."""
+    kind = draw(st.sampled_from(("explicit", "interval", "unbounded")))
+    if kind == "unbounded":
         return PartAlphabet.at_least(draw(st.integers(1, max_threshold)))
+    if kind == "interval":
+        lo = draw(st.integers(1, max_threshold))
+        return PartAlphabet(interval=(lo, draw(st.integers(lo, max_value))))
     values = draw(
         st.lists(st.integers(1, max_value), min_size=1, max_size=4, unique=True)
     )

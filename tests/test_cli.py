@@ -52,6 +52,27 @@ def test_parse_alphabet_errors_name_the_token(spec, token):
     assert token in str(excinfo.value)
 
 
+def test_a_run_of_one_color_values_is_its_interval():
+    assert PartAlphabet.of(1, 2) == PartAlphabet.upto(2)
+    assert hash(PartAlphabet.of(1, 2)) == hash(PartAlphabet.upto(2))
+    assert parse_alphabet("1,2,3") == PartAlphabet.upto(3)
+    assert parse_alphabet("2,3,4") == PartAlphabet(interval=(2, 4))
+    assert str(PartAlphabet.of(2, 3, 4)) == "2,3,4"
+    assert parse_alphabet("1,3") != parse_alphabet("1,2,3") != parse_alphabet("1,2x2,3")
+
+
+def test_an_interval_alphabet_holds_nothing_per_value(capsys):
+    # upto:K is two ints, not K pairs: the count reads values below 6 only.
+    tracemalloc.start()
+    try:
+        code = main(["count", "5", "--alphabet", "upto:1000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, "16\n")
+    assert peak < 1 << 20
+
+
 @settings(max_examples=50)
 @given(alphabets())
 def test_alphabet_string_round_trips_through_parser(alphabet):
@@ -74,6 +95,7 @@ def test_alphabet_string_round_trips_through_parser(alphabet):
         (("matrix", "3", "--alphabet", "all", "--charpoly"), "-4 5 -3 1"),
         (("matrix", "3", "--alphabet", "all", "--minorsum", "2"), "5"),
         (("count", "7", "--alphabet", "1000000000000"), "0"),
+        (("weak", "3", "1", "--alphabet", "1,2", "--method", "closed"), "10"),
     ],
 )
 def test_single_value_commands(capsys, argv, expected):

@@ -6,8 +6,13 @@ Each route runs once per alphabet under ``sys.setprofile``, which records
 every compcount function it calls. Two compared routes may both call into
 ``alphabet`` (the input) and ``errors``, and into the names in
 ``SHARED_OK``, and into nothing else.
+
+Independence holds at import time too: a fresh interpreter that imports
+the package, or one route's module, loads no other route's module.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,3 +137,24 @@ def test_the_trace_sees_what_a_route_calls():
         lambda a: count_compositions(7, a)
     )
     assert "recurrence._product" in shared
+
+
+def _loaded_submodules(statement) -> set[str]:
+    """The compcount submodules a fresh interpreter holds after ``statement``."""
+    code = (f"import sys; {statement}; "
+            "print(*(name for name in sys.modules if name.startswith('compcount.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_submodules("import compcount") == set()
+
+
+def test_the_determinant_route_loads_neither_series_nor_weak_forms():
+    assert _loaded_submodules("import compcount.hessenberg") == {
+        "compcount.alphabet", "compcount.errors", "compcount.hessenberg"
+    }

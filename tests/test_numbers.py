@@ -4,16 +4,10 @@ from hypothesis import given, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError, NegativeUpperIndex
-from compcount.numbers import (
-    IntPolynomial,
-    binomial,
-    convolution_power,
-    convolve_prefix,
-    fibonacci,
-    fibonacci_prefix,
-    kstep_fibonacci,
-)
+from compcount.numbers import binomial, convolution_power, convolve_prefix, fibonacci_prefix
 from compcount.recurrence import count_compositions
+
+from paper_refs import fibonacci, kstep_fibonacci
 
 
 @pytest.mark.parametrize(
@@ -117,23 +111,3 @@ def test_convolution_power_rejects_bad_arguments():
         convolution_power([1], 0, 1)
     with pytest.raises(DomainError):
         convolution_power([1], 2, -1)
-
-
-def test_int_polynomial_normalization_and_access():
-    p = IntPolynomial.of([2, -2, 1, 0, 0])
-    assert p.coefficients == (2, -2, 1)
-    assert p.degree == 2
-    assert p.coefficient(1) == -2
-    assert p.coefficient(9) == 0
-    assert p(3) == 2 - 6 + 9
-    assert str(p) == "2 -2 1"
-
-
-def test_int_polynomial_rejects_zero_leading_coefficient():
-    with pytest.raises(DomainError):
-        IntPolynomial((1, 0))
-
-
-def test_int_polynomial_zero():
-    assert IntPolynomial.of([0, 0]).coefficients == ()
-    assert IntPolynomial.of([]).degree == -1

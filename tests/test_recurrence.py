@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
-from compcount.numbers import fibonacci, kstep_fibonacci
 from compcount import recurrence
 from compcount.recurrence import count_compositions, extend_series, sequence_prefix, series_term
 from compcount.verify import BATTERY
 
+from paper_refs import fibonacci, kstep_fibonacci
 from strategies import alphabets
 
 
@@ -24,6 +24,11 @@ from strategies import alphabets
         (PartAlphabet.of((2, 3), (5, 1)), 9, ((1,), (1, 0, -3, 0, 0, -1))),
         (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3, 0))),
         (PartAlphabet.of(10**12), 4, ((1,), (1, 0, 0, 0))),
+        (PartAlphabet.upto(3), 9, ((1,), (1, -1, -1, -1))),
+        (PartAlphabet.upto(10**9), 4, ((1,), (1, -1, -1, -1))),
+        (PartAlphabet.of(2, 3, 4), 9, ((1,), (1, 0, -1, -1, -1))),
+        (PartAlphabet.of(2, 3, 4), 3, ((1,), (1, 0, -1))),
+        (PartAlphabet(interval=(5, 10**12)), 4, ((1,), (1, 0, 0, 0))),
     ],
 )
 def test_generating_function_transcribes_the_alphabet(alphabet, length, expected):

@@ -1,12 +1,10 @@
-import tracemalloc
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
-from compcount.numbers import convolution_power, fibonacci
+from compcount.numbers import convolution_power
 from compcount.recurrence import count_compositions, sequence_prefix
 from compcount.reports import GridPoint, VerificationReport
 from compcount.verify import (
@@ -31,6 +29,7 @@ from compcount.weakforms import (
     weak_counts,
 )
 
+from paper_refs import fibonacci
 from strategies import alphabets
 
 
@@ -81,28 +80,6 @@ def test_count_weak_minor_sum_k0_is_determinant_count():
     for _, alphabet in BATTERY:
         for n in range(1, 12):
             assert count_weak_minor_sum(n, 0, alphabet) == count_compositions(n, alphabet)
-
-
-def test_count_weak_minor_sum_subset_variant_agrees():
-    for _, alphabet in BATTERY:
-        for n in range(8):
-            for k in range(3):
-                assert count_weak_minor_sum(n, k, alphabet, subsets=True) == \
-                    count_weak_minor_sum(n, k, alphabet)
-
-
-def test_count_weak_minor_sum_subset_variant_is_guarded():
-    with pytest.raises(GuardExceeded):
-        count_weak_minor_sum(20, 10, PartAlphabet.upto(2), subsets=True)
-    # refused before the order 10^7 matrix is built
-    tracemalloc.start()
-    try:
-        with pytest.raises(GuardExceeded):
-            count_weak_minor_sum(10**7, 0, PartAlphabet.at_least(1), subsets=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n,k", [(3, 2000), (0, 5000)])
