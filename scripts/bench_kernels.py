@@ -16,21 +16,31 @@ brute: the brute-force oracle, one tally per weak sequence in the grid,
 so 2^n tallies for count_compositions_brute(n) on `all` (the weak table
 with no zeros) and more for weak_brute_table(n, k), which visits every
 sequence with sum <= n and at most k zeros; its table cache is cleared
-before every run.
+before every run. startup: whole `python` processes, alternated round by
+round so that a drift of the machine's load falls on all of them alike: a
+bare interpreter, `import argparse`, `import compcount.cli` and
+`-m compcount count 5`; the gap between the first and the last is the
+package's own start-up, and the gap between the last two is the count.
 
-One line per point: the median seconds of 5 timed runs, the tracemalloc
-peak of one more run, and the bit length of the computed value
+One line per kernel point: the median seconds of 5 timed runs, the
+tracemalloc peak of one more run, and the bit length of the computed value
 (the last term of a series, the constant coefficient of a charpoly, the
 grid's corner cell of a brute table) as a sanity check: c(10^6) on
-`upto:3` has 879146 bits.
+`upto:3` has 879146 bits. One line per start-up command: the median
+seconds of STARTUP_RUNS runs, after one untimed run of each that fills the
+bytecode cache.
 """
 
 import argparse
+import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
+import compcount
 from compcount import enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
@@ -69,6 +79,14 @@ KERNELS = {
     "brute": _brute,
 }
 
+STARTUP_RUNS = 21
+STARTUP = (
+    ("pass", ("-c", "pass")),
+    ("import argparse", ("-c", "import argparse")),
+    ("import compcount.cli", ("-c", "import compcount.cli")),
+    ("count 5", ("-m", "compcount", "count", "5")),
+)
+
 
 def measure(kernel, size, alphabet):
     """(median seconds of RUNS runs, tracemalloc peak in bytes, value)."""
@@ -86,12 +104,32 @@ def measure(kernel, size, alphabet):
     return statistics.median(seconds), peak, value
 
 
+def measure_startup() -> dict[str, float]:
+    """Median wall seconds of each STARTUP command in a fresh interpreter
+    that imports this script's compcount, the commands taking turns."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(compcount.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    seconds = {name: [] for name, _ in STARTUP}
+    for timed in [False] + [True] * STARTUP_RUNS:
+        for name, args in STARTUP:
+            started = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            if timed:
+                seconds[name].append(time.perf_counter() - started)
+    return {name: statistics.median(times) for name, times in seconds.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--suite", choices=sorted(POINTS) + ["all"], default="all")
+    parser.add_argument("--suite", choices=sorted(POINTS) + ["startup", "all"], default="all")
     args = parser.parse_args(argv)
 
-    suites = sorted(POINTS) if args.suite == "all" else [args.suite]
+    if args.suite in ("startup", "all"):
+        for name, seconds in measure_startup().items():
+            print(f"suite=startup command={name!r} median_s={seconds:.4f}"
+                  f" runs={STARTUP_RUNS}", flush=True)
+    suites = {"all": sorted(POINTS), "startup": []}.get(args.suite, [args.suite])
     for suite in suites:
         for spec, size in POINTS[suite]:
             seconds, peak, value = measure(KERNELS[suite], size, parse_alphabet(spec))

@@ -13,39 +13,55 @@ All counts in this package are plain Python ``int`` (arbitrary precision,
 exact equality); instances are frozen and hashable so they can key caches.
 """
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
 class PartAlphabet:
-    parts: tuple[tuple[int, int], ...] = ()
-    interval: tuple[int, int | None] | None = None
+    __slots__ = ("parts", "interval")
 
-    def __post_init__(self):
-        if self.interval is not None:
-            lo, hi = self.interval
-            if self.parts:
+    def __init__(self, parts: tuple[tuple[int, int], ...] = (),
+                 interval: tuple[int, int | None] | None = None):
+        if interval is not None:
+            lo, hi = interval
+            if parts:
                 raise DomainError("an interval alphabet carries no explicit parts")
             if lo < 1:
                 raise DomainError("threshold must be a positive integer")
             if hi is not None and hi < lo:
                 raise DomainError(f"empty interval {lo}..{hi}")
-            return
-        if not self.parts:
-            raise DomainError("alphabet needs at least one part value")
-        previous = 0
-        for value, multiplicity in self.parts:
-            if value <= previous:
-                raise DomainError(f"part values must be strictly increasing, got {value}")
-            if multiplicity < 1:
-                raise DomainError(f"multiplicity of part {value} must be >= 1")
-            previous = value
-        lo, hi = self.parts[0][0], self.parts[-1][0]
-        if hi - lo + 1 == len(self.parts) and all(q == 1 for _, q in self.parts):
-            object.__setattr__(self, "parts", ())
-            object.__setattr__(self, "interval", (lo, hi))
+        else:
+            if not parts:
+                raise DomainError("alphabet needs at least one part value")
+            previous = 0
+            for value, multiplicity in parts:
+                if value <= previous:
+                    raise DomainError(f"part values must be strictly increasing, got {value}")
+                if multiplicity < 1:
+                    raise DomainError(f"multiplicity of part {value} must be >= 1")
+                previous = value
+            lo, hi = parts[0][0], parts[-1][0]
+            if hi - lo + 1 == len(parts) and all(q == 1 for _, q in parts):
+                parts, interval = (), (lo, hi)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "interval", interval)
+
+    def __setattr__(self, name, value):
+        # Instances key the brute walk's cache, so they must not change.
+        raise AttributeError(f"PartAlphabet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PartAlphabet is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PartAlphabet:
+            return NotImplemented
+        return (self.parts, self.interval) == (other.parts, other.interval)
+
+    def __hash__(self):
+        return hash((self.parts, self.interval))
+
+    def __repr__(self):
+        return f"PartAlphabet(parts={self.parts!r}, interval={self.interval!r})"
 
     @classmethod
     def of(cls, *parts) -> "PartAlphabet":

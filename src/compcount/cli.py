@@ -14,12 +14,10 @@ Alphabet mini-grammar (--alphabet):
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .alphabet import PartAlphabet
-from .enumeration import count_compositions_brute, count_weak_brute
 from .errors import (
     AlphabetParseError,
     DomainError,
@@ -27,23 +25,12 @@ from .errors import (
     IndexOutOfRange,
     UnsupportedClosedForm,
 )
-from .hessenberg import (
-    build_matrix,
-    charpoly,
-    check_minor_subsets,
-    det_hessenberg,
-    format_matrix,
-    minor_sum_subsets,
-)
-from .recurrence import count_compositions
-from .verify import IDENTITY_NAMES, run_identity
-from .weakforms import (
-    count_weak_convolution,
-    count_weak_minor_sum,
-    count_weak_parts12_closed,
-    count_weak_unrestricted_closed,
-    weak_counts,
-)
+
+# Each command imports the route it runs inside the branch that runs it:
+# every invocation is a fresh process, so a route it does not run would
+# only add start-up time. The identity names are spelled out for the same
+# reason; verify.IDENTITY_NAMES is the table they must match.
+IDENTITY_NAMES = ("eq1", "thm8", "thm9", "thm10", "thm11", "thm12")
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -93,10 +80,13 @@ def _alphabet_arg(parser):
 def cmd_count(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     if args.method == "recurrence":
+        from .recurrence import count_compositions
         value = count_compositions(args.n, alphabet)
     elif args.method == "det":
+        from .hessenberg import build_matrix, det_hessenberg
         value = 1 if args.n == 0 else det_hessenberg(build_matrix(alphabet, args.n))
     else:
+        from .enumeration import count_compositions_brute
         value = count_compositions_brute(args.n, alphabet)
     print(value)
     return EXIT_OK
@@ -105,15 +95,20 @@ def cmd_count(args) -> int:
 def cmd_weak(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     if args.method == "conv":
+        from .weakforms import count_weak_convolution
         value = count_weak_convolution(args.n, args.k, alphabet)
     elif args.method == "minors":
+        from .weakforms import count_weak_minor_sum
         value = count_weak_minor_sum(args.n, args.k, alphabet)
     elif args.method == "brute":
+        from .enumeration import count_weak_brute
         value = count_weak_brute(args.n, args.k, alphabet)
     else:
         if alphabet == PartAlphabet.at_least(1):
+            from .weakforms import count_weak_unrestricted_closed
             value = count_weak_unrestricted_closed(args.n, args.k)
         elif alphabet == PartAlphabet.upto(2):
+            from .weakforms import count_weak_parts12_closed
             value = count_weak_parts12_closed(args.n, args.k)
         else:
             raise UnsupportedClosedForm(
@@ -124,6 +119,15 @@ def cmd_weak(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .hessenberg import (
+        build_matrix,
+        charpoly,
+        check_minor_subsets,
+        det_hessenberg,
+        format_matrix,
+        minor_sum_subsets,
+    )
+
     alphabet = parse_alphabet(args.alphabet)
     if args.minorsum is not None:
         check_minor_subsets(args.n, args.minorsum)
@@ -140,8 +144,11 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_identity
+
     reports = run_identity(args.identity, args.max_n, args.max_k)
     if args.json:
+        import json
         print(json.dumps({"reports": [r.to_json_dict() for r in reports]}, indent=2))
     else:
         for report in reports:
@@ -154,6 +161,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .weakforms import weak_counts
+
     values = weak_counts(args.n_max, args.k or 0, parse_alphabet(args.alphabet))
     rows = enumerate(values[1:], start=1)
     if args.bfile:

@@ -24,7 +24,6 @@ integer arithmetic, divisions that are provably exact, row swaps with
 sign tracking for zero pivots.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .alphabet import PartAlphabet
@@ -33,15 +32,15 @@ from .errors import DomainError, GuardExceeded, IndexOutOfRange
 SUBSET_GUARD_DEFAULT = 22
 
 
-@dataclass(frozen=True)
 class HessMatrix:
     """Band storage: first-row values only. Order n is the band length."""
 
-    band: tuple[int, ...]
+    __slots__ = ("band",)
 
-    def __post_init__(self):
-        if not self.band:
+    def __init__(self, band: tuple[int, ...]):
+        if not band:
             raise DomainError("matrix order must be >= 1")
+        self.band = band
 
     @property
     def order(self) -> int:

@@ -122,13 +122,6 @@ def _unpack(value: int, size: int, count: int) -> list[int]:
     return coefficients
 
 
-def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
-    """The first n+1 terms a_1..a_{n+1}; a_{m+1} counts compositions of m."""
-    if n < 0:
-        raise DomainError(f"prefix length must be >= 0, got {n}")
-    return extend_series([], *alphabet.generating_function(n + 1), n + 1)
-
-
 def count_compositions(n: int, alphabet: PartAlphabet) -> int:
     """c(n, alphabet); c(0) = 1 for the empty composition."""
     if n < 0:

@@ -6,16 +6,12 @@ exactly when every value present at that point (lhs, rhs, and the oracle
 when recorded) is equal.
 """
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class GridPoint:
-    n: int
-    k: int
-    lhs: int
-    rhs: int
-    oracle: int | None = None
+    __slots__ = ("n", "k", "lhs", "rhs", "oracle")
+
+    def __init__(self, n: int, k: int, lhs: int, rhs: int, oracle: int | None = None):
+        self.n, self.k, self.lhs, self.rhs, self.oracle = n, k, lhs, rhs, oracle
 
     @property
     def agree(self) -> bool:
@@ -28,13 +24,13 @@ class GridPoint:
         return "agree" if self.agree else "disagree"
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    identity: str
-    points: tuple[GridPoint, ...]
-    lhs_label: str = "lhs"
-    rhs_label: str = "rhs"
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ("identity", "points", "lhs_label", "rhs_label", "notes")
+
+    def __init__(self, identity: str, points: tuple[GridPoint, ...], lhs_label: str = "lhs",
+                 rhs_label: str = "rhs", notes: tuple[str, ...] = ()):
+        self.identity, self.points = identity, points
+        self.lhs_label, self.rhs_label, self.notes = lhs_label, rhs_label, notes
 
     @property
     def agree(self) -> bool:

@@ -8,17 +8,15 @@ order-n principal minors of the order n+k recurrence matrix, read from
 that matrix's charpoly table: a second route that shares no kernel with
 the first. On top of these sit three explicit binomial formulas:
 unrestricted positive parts, positive parts in {1, 2}, and a shifted
-Fibonacci-block identity whose claimed weak-composition target is
-adjudicated against the brute oracle rather than assumed.
+Fibonacci-block identity (``verify`` adjudicates its claimed
+weak-composition target against the brute oracle rather than assuming it).
 """
 
 from .alphabet import PartAlphabet
-from .enumeration import weak_brute_table
 from .errors import DomainError
 from .hessenberg import build_matrix, minor_sum
 from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
 from .recurrence import extend_series
-from .reports import GridPoint, VerificationReport
 
 
 def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
@@ -146,49 +144,3 @@ def fib_block_closed(n: int, k: int) -> int:
         total += binomial(k + 1, m) * inner
     return total
 
-
-def adjudicate_fib_block_identity(
-    max_n: int, max_k: int, guard: int | None = None
-) -> VerificationReport:
-    """Compare the closed form and the convolution against the brute count
-    of weak compositions of n+k-1 with k zeros and parts >= 2 — the target
-    the identity is labelled with — over 1 <= n <= max_n, 0 <= k <= max_k.
-
-    The two computed sides are expected to agree with each other; whether
-    the labelled target matches is exactly what the report records. When
-    every k = 0 row instead matches the direct count at total n+1, that
-    one-shift observation is noted.
-    """
-    if max_n < 1 or max_k < 0:
-        raise DomainError(f"need max_n >= 1 and max_k >= 0, got {max_n}, {max_k}")
-    # One table holds every brute count read below: totals up to
-    # max_n + max_k - 1 with k zeros, and max_n + 1 with none.
-    brute = weak_brute_table(
-        max(max_n + max_k - 1, max_n + 1), max_k, PartAlphabet.at_least(2), guard
-    )
-    points = []
-    for n in range(1, max_n + 1):
-        for k in range(max_k + 1):
-            points.append(
-                GridPoint(
-                    n=n,
-                    k=k,
-                    lhs=fib_block_closed(n, k),
-                    rhs=fib_block_convolution(n, k),
-                    oracle=brute[n + k - 1][k],
-                )
-            )
-    notes = []
-    shifted_matches = [p.rhs == brute[p.n + 1][0] for p in points if p.k == 0]
-    if shifted_matches and all(shifted_matches):
-        notes.append(
-            "every k=0 row equals the direct zero-free count at total n+1,"
-            " so the labelled target looks shifted by one"
-        )
-    return VerificationReport(
-        identity="thm12",
-        points=tuple(points),
-        lhs_label="closed",
-        rhs_label="convolution",
-        notes=tuple(notes),
-    )

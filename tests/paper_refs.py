@@ -1,10 +1,11 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
-and principal minors of the counting matrix as products of counts."""
+the prefix of counts, and principal minors of the counting matrix as
+products of counts."""
 
 from compcount.alphabet import PartAlphabet
 from compcount.errors import DomainError
-from compcount.recurrence import sequence_prefix
+from compcount.recurrence import extend_series
 
 
 def fibonacci(i: int) -> int:
@@ -29,6 +30,13 @@ def kstep_fibonacci(k: int, i: int) -> int:
         window = min(k, len(terms))
         terms.append(sum(terms[-window:]))
     return terms[i - 1]
+
+
+def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
+    """The first n+1 terms a_1..a_{n+1}; a_{m+1} counts compositions of m."""
+    if n < 0:
+        raise DomainError(f"prefix length must be >= 0, got {n}")
+    return extend_series([], *alphabet.generating_function(n + 1), n + 1)
 
 
 def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:

@@ -19,10 +19,9 @@ from compcount.hessenberg import (
     principal_minor,
 )
 from compcount.numbers import convolution_power
-from compcount.recurrence import count_compositions, sequence_prefix
-from compcount.verify import BATTERY
+from compcount.recurrence import count_compositions
+from compcount.verify import BATTERY, adjudicate_fib_block_identity
 from compcount.weakforms import (
-    adjudicate_fib_block_identity,
     convolved_fibonacci,
     convolved_fibonacci_binomial,
     count_weak_convolution,
@@ -33,7 +32,7 @@ from compcount.weakforms import (
     fib_block_convolution,
 )
 
-from paper_refs import fibonacci, kstep_fibonacci, minor_product_formula
+from paper_refs import fibonacci, kstep_fibonacci, minor_product_formula, sequence_prefix
 
 ALL_PARTS = PartAlphabet.at_least(1)
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compcount import cli, verify
 from compcount.alphabet import PartAlphabet
 from compcount.cli import main, parse_alphabet
-from compcount.errors import AlphabetParseError
+from compcount.errors import AlphabetParseError, DomainError
 
 from strategies import alphabets
 
@@ -59,6 +60,39 @@ def test_a_run_of_one_color_values_is_its_interval():
     assert parse_alphabet("2,3,4") == PartAlphabet(interval=(2, 4))
     assert str(PartAlphabet.of(2, 3, 4)) == "2,3,4"
     assert parse_alphabet("1,3") != parse_alphabet("1,2,3") != parse_alphabet("1,2x2,3")
+    assert PartAlphabet.upto(2) != (1, 2)
+    assert PartAlphabet.upto(2) != ((), (1, 2))
+
+
+@pytest.mark.parametrize("attribute", ["parts", "interval", "extra"])
+def test_an_alphabet_cannot_be_changed(attribute):
+    # Alphabets key the brute walk's cache.
+    alphabet = PartAlphabet.upto(2)
+    with pytest.raises(AttributeError):
+        setattr(alphabet, attribute, ())
+    with pytest.raises(AttributeError):
+        delattr(alphabet, attribute)
+    assert alphabet == PartAlphabet.upto(2)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PartAlphabet(parts=((1, 1),), interval=(1, 2)), "carries no explicit parts"),
+    (lambda: PartAlphabet(interval=(0, None)), "threshold must be a positive integer"),
+    (lambda: PartAlphabet.at_least(0), "threshold must be a positive integer"),
+    (lambda: PartAlphabet(interval=(3, 2)), "empty interval 3..2"),
+    (lambda: PartAlphabet(), "needs at least one part value"),
+    (lambda: PartAlphabet.of(2, 1), "strictly increasing, got 1"),
+    (lambda: PartAlphabet.of((1, 1), (1, 2)), "strictly increasing, got 1"),
+    (lambda: PartAlphabet.of((3, 0)), "multiplicity of part 3 must be >= 1"),
+    (lambda: PartAlphabet.upto(0), "upper bound must be a positive integer"),
+])
+def test_an_invalid_alphabet_is_a_domain_error(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_the_identity_choices_match_the_verify_table():
+    assert cli.IDENTITY_NAMES == verify.IDENTITY_NAMES
 
 
 def test_an_interval_alphabet_holds_nothing_per_value(capsys):

@@ -126,6 +126,16 @@ def test_weak_brute_table_cache_is_bounded():
     assert walk.cache_info().currsize <= walk.cache_info().maxsize
 
 
+def test_equal_alphabets_built_differently_share_one_cached_table():
+    enumeration._weak_table.cache_clear()
+    first = weak_brute_table(6, 2, PartAlphabet.of(1, 2))
+    second = weak_brute_table(6, 2, PartAlphabet.upto(2))
+    info = enumeration._weak_table.cache_info()
+    enumeration._weak_table.cache_clear()
+    assert first is second
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def test_weak_brute_table_allocates_only_for_reachable_sums():
     # One part value of 200000: only the sums 0 and 200000 are reached, so
     # the other 199999 rows are one shared zero row, not a row each.

@@ -17,11 +17,11 @@ from compcount.hessenberg import (
     parse_matrix,
     principal_minor,
 )
-from compcount.recurrence import count_compositions, sequence_prefix
+from compcount.recurrence import count_compositions
 from compcount.verify import BATTERY
 from compcount.weakforms import count_weak_unrestricted_closed
 
-from paper_refs import fibonacci, minor_product_formula
+from paper_refs import fibonacci, minor_product_formula, sequence_prefix
 from strategies import bands
 
 

@@ -8,9 +8,11 @@ every compcount function it calls. Two compared routes may both call into
 ``SHARED_OK``, and into nothing else.
 
 Independence holds at import time too: a fresh interpreter that imports
-the package, or one route's module, loads no other route's module.
+the package, or one route's module, or runs one command, loads no other
+route's module.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -139,15 +141,35 @@ def test_the_trace_sees_what_a_route_calls():
     assert "recurrence._product" in shared
 
 
-def _loaded_submodules(statement) -> set[str]:
-    """The compcount submodules a fresh interpreter holds after ``statement``."""
-    code = (f"import sys; {statement}; "
-            "print(*(name for name in sys.modules if name.startswith('compcount.')))")
+def _modules_after(statement) -> set[str]:
+    """Every module a fresh interpreter holds after ``statement``."""
+    code = f"import sys; {statement}; print(); print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def _bare_modules() -> frozenset[str]:
+    """What a bare interpreter in the same environment already holds (``site``
+    and its ``.pth`` files differ between machines)."""
+    return frozenset(_modules_after("pass"))
+
+
+def _loaded_modules(statement) -> set[str]:
+    """The modules ``statement`` adds to a fresh interpreter."""
+    return _modules_after(statement) - _bare_modules()
+
+
+def _loaded_submodules(statement) -> set[str]:
+    """The compcount submodules a fresh interpreter holds after ``statement``."""
+    return {name for name in _loaded_modules(statement) if name.startswith("compcount.")}
+
+
+def _command(*argv) -> str:
+    return f"from compcount import cli; cli.main({list(argv)!r})"
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -158,3 +180,20 @@ def test_the_determinant_route_loads_neither_series_nor_weak_forms():
     assert _loaded_submodules("import compcount.hessenberg") == {
         "compcount.alphabet", "compcount.errors", "compcount.hessenberg"
     }
+
+
+def test_a_count_loads_only_the_recurrence_and_no_heavy_standard_module():
+    loaded = _loaded_modules(_command("count", "5"))
+    assert {name for name in loaded if name.startswith("compcount.")} == {
+        "compcount.cli", "compcount.errors", "compcount.alphabet", "compcount.recurrence"
+    }
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (("weak", "5", "1"), {"compcount.enumeration", "compcount.reports", "compcount.verify"}),
+    (("matrix", "5", "--det"),
+     {"compcount.recurrence", "compcount.weakforms", "compcount.enumeration"}),
+], ids=["weak", "matrix-det"])
+def test_a_command_loads_no_route_it_does_not_run(argv, unused):
+    assert _loaded_submodules(_command(*argv)) & unused == set()

@@ -7,10 +7,10 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
 from compcount import recurrence
-from compcount.recurrence import count_compositions, extend_series, sequence_prefix, series_term
+from compcount.recurrence import count_compositions, extend_series, series_term
 from compcount.verify import BATTERY
 
-from paper_refs import fibonacci, kstep_fibonacci
+from paper_refs import fibonacci, kstep_fibonacci, sequence_prefix
 from strategies import alphabets
 
 

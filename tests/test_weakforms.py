@@ -5,10 +5,11 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
 from compcount.numbers import convolution_power
-from compcount.recurrence import count_compositions, sequence_prefix
+from compcount.recurrence import count_compositions
 from compcount.reports import GridPoint, VerificationReport
 from compcount.verify import (
     BATTERY,
+    adjudicate_fib_block_identity,
     check_fib_convolution_identity,
     check_weak_block_convolution,
     check_weak_minor_sum,
@@ -17,7 +18,6 @@ from compcount.verify import (
     run_identity,
 )
 from compcount.weakforms import (
-    adjudicate_fib_block_identity,
     convolved_fibonacci,
     convolved_fibonacci_binomial,
     count_weak_convolution,
@@ -29,7 +29,7 @@ from compcount.weakforms import (
     weak_counts,
 )
 
-from paper_refs import fibonacci
+from paper_refs import fibonacci, sequence_prefix
 from strategies import alphabets
 
 
