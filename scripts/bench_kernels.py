@@ -71,7 +71,7 @@ def _brute(size, alphabet):
 
 KERNELS = {
     "recurrence": lambda n, a: count_compositions(n, a),
-    "series": lambda n, a: extend_series([], *a.generating_function(n + 1), n + 1)[n],
+    "series": lambda n, a: extend_series(*a.generating_function(n + 1), n + 1)[n],
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),

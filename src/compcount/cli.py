@@ -18,13 +18,7 @@ import os
 import sys
 
 from .alphabet import PartAlphabet
-from .errors import (
-    AlphabetParseError,
-    DomainError,
-    GuardExceeded,
-    IndexOutOfRange,
-    UnsupportedClosedForm,
-)
+from .errors import CompCountError, DomainError, UnsupportedClosedForm
 
 # Each command imports the route it runs inside the branch that runs it:
 # every invocation is a fresh process, so a route it does not run would
@@ -32,11 +26,9 @@ from .errors import (
 # reason; verify.IDENTITY_NAMES is the table they must match.
 IDENTITY_NAMES = ("eq1", "thm8", "thm9", "thm10", "thm11", "thm12")
 
+# Codes 2 to 4 are the exit_code of the error class raised (see errors).
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
-EXIT_USAGE = 2
-EXIT_GUARD = 3
-EXIT_NO_CLOSED_FORM = 4
 
 
 def parse_alphabet(text: str) -> PartAlphabet:
@@ -49,8 +41,8 @@ def parse_alphabet(text: str) -> PartAlphabet:
             tail = spec[len(prefix):]
             try:
                 return builder(int(tail))
-            except (ValueError, DomainError):
-                raise AlphabetParseError(f"bad bound {tail!r} in alphabet spec {spec!r}") from None
+            except ValueError:  # from int() or the builder's DomainError
+                raise DomainError(f"bad bound {tail!r} in alphabet spec {spec!r}") from None
     parts = []
     for token in spec.split(","):
         token = token.strip()
@@ -59,14 +51,14 @@ def parse_alphabet(text: str) -> PartAlphabet:
             value = int(value_text)
             mult = int(mult_text) if sep else 1
         except ValueError:
-            raise AlphabetParseError(f"bad token {token!r} in alphabet spec {spec!r}") from None
+            raise DomainError(f"bad token {token!r} in alphabet spec {spec!r}") from None
         if value < 1 or mult < 1:
-            raise AlphabetParseError(f"bad token {token!r} in alphabet spec {spec!r}")
+            raise DomainError(f"bad token {token!r} in alphabet spec {spec!r}")
         parts.append((value, mult))
     try:
         return PartAlphabet(parts=tuple(parts))
     except DomainError as exc:
-        raise AlphabetParseError(f"invalid alphabet spec {spec!r}: {exc}") from None
+        raise DomainError(f"invalid alphabet spec {spec!r}: {exc}") from None
 
 
 def _alphabet_arg(parser):
@@ -238,15 +230,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceeded as exc:
+    except CompCountError as exc:
         print(f"compcount: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except UnsupportedClosedForm as exc:
-        print(f"compcount: {exc}", file=sys.stderr)
-        return EXIT_NO_CLOSED_FORM
-    except (AlphabetParseError, DomainError, IndexOutOfRange) as exc:
-        print(f"compcount: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 def run():

@@ -9,9 +9,9 @@ Counts come from ``weak_brute_table``: one walk visits every sequence of
 zeros and alphabet values with sum at most max_n and at most max_k zeros,
 once each, and tallies it, weighted by its parts' color counts, into the
 cell for its own sum and zero count, so one walk answers a whole (n, k)
-grid. Inputs are guarded (default limit 25, overridable per call or via
-the COMPCOUNT_GUARD environment variable); exceeding the guard raises
-instead of truncating, because an oracle must never return a wrong count.
+grid. Inputs are guarded (limit from the COMPCOUNT_GUARD environment
+variable, else 25); exceeding the guard raises instead of truncating,
+because an oracle must never return a wrong count.
 """
 
 import itertools
@@ -28,10 +28,8 @@ DEFAULT_GUARD = 25
 GUARD_ENV_VAR = "COMPCOUNT_GUARD"
 
 
-def effective_guard(guard: int | None = None) -> int:
-    """Explicit guard if given, else COMPCOUNT_GUARD, else the default."""
-    if guard is not None:
-        return guard
+def effective_guard() -> int:
+    """COMPCOUNT_GUARD if set, else the default."""
     env = os.environ.get(GUARD_ENV_VAR)
     try:
         return int(env) if env else DEFAULT_GUARD
@@ -39,8 +37,8 @@ def effective_guard(guard: int | None = None) -> int:
         raise DomainError(f"{GUARD_ENV_VAR}={env!r} is not an integer") from None
 
 
-def _check_guard(label: str, value: int, guard: int | None):
-    limit = effective_guard(guard)
+def _check_guard(label: str, value: int):
+    limit = effective_guard()
     if value > limit:
         raise GuardExceeded(f"{label}={value} exceeds the enumeration guard {limit}")
 
@@ -57,7 +55,7 @@ def _value_sequences(n: int, alphabet: PartAlphabet):
             yield (value, *tail)
 
 
-def enumerate_compositions(n: int, alphabet: PartAlphabet, guard: int | None = None):
+def enumerate_compositions(n: int, alphabet: PartAlphabet):
     """Stream every colored composition of ``n`` over ``alphabet``.
 
     Each composition is a tuple of ``(value, color)`` pairs, colors
@@ -66,7 +64,7 @@ def enumerate_compositions(n: int, alphabet: PartAlphabet, guard: int | None = N
     """
     if n < 0:
         raise DomainError(f"target must be >= 0, got {n}")
-    _check_guard("n", n, guard)
+    _check_guard("n", n)
     return _colored_stream(n, alphabet)
 
 
@@ -77,24 +75,24 @@ def _colored_stream(n, alphabet):
             yield tuple(zip(values, colors))
 
 
-def count_compositions_brute(n: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
+def count_compositions_brute(n: int, alphabet: PartAlphabet) -> int:
     """Colored compositions of ``n``: the weak count with no zeros, the
     same number as the length of the enumerate_compositions stream."""
-    return count_weak_brute(n, 0, alphabet, guard)
+    return count_weak_brute(n, 0, alphabet)
 
 
-def count_weak_brute(n: int, k: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
+def count_weak_brute(n: int, k: int, alphabet: PartAlphabet) -> int:
     """Count sequences with exactly ``k`` zero parts and every other part a
     colored alphabet value, summing to ``n``: cell [n][k] of
     ``weak_brute_table(n, k, alphabet)``."""
-    _check_table(n, k, guard)
+    _check_table(n, k)
     # The walk is called directly: no extra frame, so every walk depth
     # the recursion limit allowed before still fits.
     return _weak_table(n, k, alphabet)[n][k]
 
 
 def weak_brute_table(
-    max_n: int, max_k: int, alphabet: PartAlphabet, guard: int | None = None
+    max_n: int, max_k: int, alphabet: PartAlphabet
 ) -> tuple[tuple[int, ...], ...]:
     """t[n][k] for every n <= max_n and k <= max_k: the number of
     sequences with exactly k zero parts and every other part a colored
@@ -105,15 +103,15 @@ def weak_brute_table(
     per-part factor. No formula involved. The guard applies to max_n and
     max_k before any work is done.
     """
-    _check_table(max_n, max_k, guard)
+    _check_table(max_n, max_k)
     return _weak_table(max_n, max_k, alphabet)
 
 
-def _check_table(max_n, max_k, guard):
+def _check_table(max_n, max_k):
     if max_n < 0 or max_k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={max_n}, k={max_k}")
-    _check_guard("n", max_n, guard)
-    _check_guard("k", max_k, guard)
+    _check_guard("n", max_n)
+    _check_guard("k", max_k)
 
 
 @lru_cache(maxsize=16)
@@ -174,12 +172,12 @@ def _weak_table(max_n, max_k, alphabet):
     return tuple(rows.get(n, zero) for n in range(max_n + 1))
 
 
-def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet, guard: int | None = None) -> int:
+def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet) -> int:
     """Semi-independent check: a weak composition with k zeros is a
     zero-free composition with p parts plus a multiset choice of the k
     zero slots among the p+1 gaps, i.e. sum_p c_p * C(p+k, k)."""
     if k < 0:
         raise DomainError(f"zero count must be >= 0, got {k}")
-    _check_guard("k", k, guard)
-    lengths = Counter(map(len, enumerate_compositions(n, alphabet, guard)))
+    _check_guard("k", k)
+    lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
     return sum(count * binomial(p + k, k) for p, count in lengths.items())

@@ -1,20 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each non-zero exit code of the CLI has exactly one class, which carries
+the code as ``exit_code``; the CLI prints the message and returns it.
+"""
 
 
 class CompCountError(Exception):
     """Base class for every package-specific error."""
 
+    exit_code: int
+
 
 class DomainError(CompCountError, ValueError):
-    """An argument lies outside an operation's domain."""
+    """An argument lies outside an operation's domain: a malformed
+    alphabet spec, an index outside a matrix, a negative binomial upper
+    index, or any other out-of-range input."""
 
-
-class NegativeUpperIndex(DomainError):
-    """Binomial coefficient requested with a negative upper index.
-
-    The closed forms implemented here never evaluate one inside their
-    stated summation limits, so hitting this means an index bug.
-    """
+    exit_code = 2
 
 
 class GuardExceeded(CompCountError):
@@ -23,14 +25,10 @@ class GuardExceeded(CompCountError):
     Oracles must never silently truncate: too-large inputs are refused.
     """
 
-
-class IndexOutOfRange(CompCountError, IndexError):
-    """A row/column index set refers outside the matrix."""
-
-
-class AlphabetParseError(CompCountError, ValueError):
-    """A textual alphabet spec could not be parsed."""
+    exit_code = 3
 
 
 class UnsupportedClosedForm(CompCountError):
     """No closed-form evaluator exists for the requested alphabet."""
+
+    exit_code = 4

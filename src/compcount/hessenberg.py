@@ -27,9 +27,9 @@ sign tracking for zero pivots.
 from itertools import combinations
 
 from .alphabet import PartAlphabet
-from .errors import DomainError, GuardExceeded, IndexOutOfRange
+from .errors import DomainError, GuardExceeded
 
-SUBSET_GUARD_DEFAULT = 22
+SUBSET_GUARD = 22
 
 
 class HessMatrix:
@@ -51,7 +51,7 @@ class HessMatrix:
         subdiagonal, 0 below."""
         n = self.order
         if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"entry ({i}, {j}) outside order-{n} matrix")
+            raise DomainError(f"entry ({i}, {j}) outside order-{n} matrix")
         if j >= i:
             return self.band[j - i]
         if j == i - 1:
@@ -157,7 +157,7 @@ def _validate_deleted(deleted, n) -> tuple[int, ...]:
     indices = tuple(sorted(set(deleted)))
     for i in indices:
         if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside 1..{n}")
+            raise DomainError(f"index {i} outside 1..{n}")
     return indices
 
 
@@ -171,22 +171,21 @@ def principal_minor(matrix: HessMatrix, deleted) -> int:
     return det_bareiss(dense)
 
 
-def check_minor_subsets(n: int, order: int, guard: int | None = None):
+def check_minor_subsets(n: int, order: int):
     """Refuse what minor_sum_subsets would refuse for an order-n matrix,
     before the matrix is built: an order the guard refuses may not fit in
     memory."""
     if not 0 <= order <= n:
         raise DomainError(f"minor order must be within 0..{n}, got {order}")
-    limit = SUBSET_GUARD_DEFAULT if guard is None else guard
-    if n > limit:
-        raise GuardExceeded(f"matrix order {n} exceeds the subset guard {limit}")
+    if n > SUBSET_GUARD:
+        raise GuardExceeded(f"matrix order {n} exceeds the subset guard {SUBSET_GUARD}")
 
 
-def minor_sum_subsets(matrix: HessMatrix, order: int, guard: int | None = None) -> int:
+def minor_sum_subsets(matrix: HessMatrix, order: int) -> int:
     """Sum of all order-``order`` principal minors, by expanding every
-    index subset. Exponential; guarded by matrix order (default 22)."""
+    index subset. Exponential; refused past matrix order SUBSET_GUARD."""
     n = matrix.order
-    check_minor_subsets(n, order, guard)
+    check_minor_subsets(n, order)
     dense = matrix.to_dense()
     return sum(
         det_bareiss([[dense[i][j] for j in kept] for i in kept])

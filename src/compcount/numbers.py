@@ -8,7 +8,7 @@ locally or are pure, so concurrent callers are safe.
 
 import math
 
-from .errors import DomainError, NegativeUpperIndex
+from .errors import DomainError
 
 
 def binomial(a: int, b: int) -> int:
@@ -21,7 +21,7 @@ def binomial(a: int, b: int) -> int:
     if b < 0:
         return 0
     if a < 0:
-        raise NegativeUpperIndex(f"binomial({a}, {b}): negative upper index")
+        raise DomainError(f"binomial({a}, {b}): negative upper index")
     if b > a:
         return 0
     return math.comb(a, b)

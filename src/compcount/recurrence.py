@@ -16,14 +16,14 @@ from .alphabet import PartAlphabet
 from .errors import DomainError
 
 
-def extend_series(terms: list[int], num, den, length: int) -> list[int]:
-    """Extend ``terms`` in place to the first ``length`` coefficients of
-    num(x) / den(x), den[0] = 1, and return it (pass [] to start afresh):
+def extend_series(num, den, length: int) -> list[int]:
+    """The first ``length`` coefficients of num(x) / den(x), den[0] = 1:
     t_m = num_m - sum_{i>=1} den_i * t_{m-i}. The sum starts from its first
     term, not 0, and unit lags skip the multiply: either would copy a big
     int per lag and triple the cost of the two-lag unbounded series."""
     lags = [(i, -d) for i, d in enumerate(den) if i and d]
-    for m in range(len(terms), length):
+    terms = []
+    for m in range(length):
         new = num[m] if m < len(num) else 0
         for i, q in lags:
             if i > m:

@@ -46,12 +46,10 @@ def check_fib_convolution_identity(max_n: int) -> VerificationReport:
     )
 
 
-def _oracle_grid(
-    identity, value_fn, max_n, max_k, alphabet, guard=None, first_n=0, lhs_label="computed"
-):
+def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, first_n=0, lhs_label="computed"):
     ns = range(first_n, max_n + 1)
     # An empty grid reads no brute count, so it meets no guard.
-    brute = weak_brute_table(max_n, max_k, alphabet, guard) if ns else ()
+    brute = weak_brute_table(max_n, max_k, alphabet) if ns else ()
     points = tuple(
         GridPoint(n=n, k=k, lhs=value_fn(n, k), rhs=brute[n][k])
         for n in ns
@@ -62,38 +60,16 @@ def _oracle_grid(
     )
 
 
-def _battery(identity, count_fn, max_n, max_k, guard=None) -> list[VerificationReport]:
+def _battery(identity, count_fn, max_n, max_k) -> list[VerificationReport]:
     """``count_fn(n, k, alphabet)`` vs brute weak counts, per battery alphabet."""
     return [
         _oracle_grid(f"{identity}[{label}]", lambda n, k, a=alphabet: count_fn(n, k, a),
-                     max_n, max_k, alphabet, guard)
+                     max_n, max_k, alphabet)
         for label, alphabet in BATTERY
     ]
 
 
-# The convolution route (thm8) and the minor-sum route (thm9).
-check_weak_block_convolution = partial(_battery, "thm8", count_weak_convolution)
-check_weak_minor_sum = partial(_battery, "thm9", count_weak_minor_sum)
-
-
-def check_weak_unrestricted_closed(max_n, max_k, guard=None) -> VerificationReport:
-    """Unrestricted-parts closed form vs brute, n >= 1."""
-    return _oracle_grid(
-        "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
-        guard, first_n=1, lhs_label="closed",
-    )
-
-
-def check_weak_parts12_closed(max_n, max_k, guard=None) -> VerificationReport:
-    """Parts-{1,2} closed form vs brute."""
-    return _oracle_grid(
-        "thm11", count_weak_parts12_closed, max_n, max_k, PartAlphabet.upto(2), guard
-    )
-
-
-def adjudicate_fib_block_identity(
-    max_n: int, max_k: int, guard: int | None = None
-) -> VerificationReport:
+def adjudicate_fib_block_identity(max_n: int, max_k: int) -> VerificationReport:
     """Compare the closed form and the convolution against the brute count
     of weak compositions of n+k-1 with k zeros and parts >= 2 — the target
     the identity is labelled with — over 1 <= n <= max_n, 0 <= k <= max_k.
@@ -107,9 +83,7 @@ def adjudicate_fib_block_identity(
         raise DomainError(f"need max_n >= 1 and max_k >= 0, got {max_n}, {max_k}")
     # One table holds every brute count read below: totals up to
     # max_n + max_k - 1 with k zeros, and max_n + 1 with none.
-    brute = weak_brute_table(
-        max(max_n + max_k - 1, max_n + 1), max_k, PartAlphabet.at_least(2), guard
-    )
+    brute = weak_brute_table(max(max_n + max_k - 1, max_n + 1), max_k, PartAlphabet.at_least(2))
     points = []
     for n in range(1, max_n + 1):
         for k in range(max_k + 1):
@@ -138,24 +112,31 @@ def adjudicate_fib_block_identity(
     )
 
 
+# name -> (max_n, max_k) -> reports. thm8 and thm9 run the convolution
+# and the minor-sum routes over the battery; thm10 (n >= 1) and thm11 set
+# the closed forms for unrestricted parts and for parts {1, 2} against
+# brute.
 _REPORT_BUILDERS = {
-    "eq1": lambda max_n, max_k, guard: [check_fib_convolution_identity(max_n)],
-    "thm8": check_weak_block_convolution,
-    "thm9": check_weak_minor_sum,
-    "thm10": lambda max_n, max_k, guard: [check_weak_unrestricted_closed(max_n, max_k, guard)],
-    "thm11": lambda max_n, max_k, guard: [check_weak_parts12_closed(max_n, max_k, guard)],
-    "thm12": lambda max_n, max_k, guard: [
-        adjudicate_fib_block_identity(max(max_n, 1), max_k, guard)
-    ],
+    "eq1": lambda max_n, max_k: [check_fib_convolution_identity(max_n)],
+    "thm8": partial(_battery, "thm8", count_weak_convolution),
+    "thm9": partial(_battery, "thm9", count_weak_minor_sum),
+    "thm10": lambda max_n, max_k: [_oracle_grid(
+        "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
+        first_n=1, lhs_label="closed",
+    )],
+    "thm11": lambda max_n, max_k: [_oracle_grid(
+        "thm11", count_weak_parts12_closed, max_n, max_k, PartAlphabet.upto(2)
+    )],
+    "thm12": lambda max_n, max_k: [adjudicate_fib_block_identity(max(max_n, 1), max_k)],
 }
 IDENTITY_NAMES = tuple(_REPORT_BUILDERS)
 
 
-def run_identity(name: str, max_n: int, max_k: int, guard=None) -> list[VerificationReport]:
+def run_identity(name: str, max_n: int, max_k: int) -> list[VerificationReport]:
     """Reports for one identity name, or for all of them in a fixed order."""
     if max_n < 0 or max_k < 0:
         raise DomainError(f"grid sizes must be >= 0, got max_n={max_n}, max_k={max_k}")
     if name != "all" and name not in _REPORT_BUILDERS:
         raise DomainError(f"unknown identity {name!r}")
     names = IDENTITY_NAMES if name == "all" else (name,)
-    return [report for n in names for report in _REPORT_BUILDERS[n](max_n, max_k, guard)]
+    return [report for n in names for report in _REPORT_BUILDERS[n](max_n, max_k)]

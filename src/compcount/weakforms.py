@@ -26,9 +26,7 @@ def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     num, den = alphabet.generating_function(n + 1)
-    return extend_series(
-        [], power_prefix(num, k + 1, n + 1), power_prefix(den, k + 1, n + 1), n + 1
-    )
+    return extend_series(power_prefix(num, k + 1, n + 1), power_prefix(den, k + 1, n + 1), n + 1)
 
 
 def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:

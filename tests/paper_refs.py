@@ -36,7 +36,7 @@ def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
     """The first n+1 terms a_1..a_{n+1}; a_{m+1} counts compositions of m."""
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {n}")
-    return extend_series([], *alphabet.generating_function(n + 1), n + 1)
+    return extend_series(*alphabet.generating_function(n + 1), n + 1)
 
 
 def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:

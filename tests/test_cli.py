@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compcount import cli, verify
+from compcount import cli, enumeration, hessenberg, verify
 from compcount.alphabet import PartAlphabet
 from compcount.cli import main, parse_alphabet
-from compcount.errors import AlphabetParseError, DomainError
+from compcount.errors import CompCountError, DomainError
 
 from strategies import alphabets
 
@@ -48,7 +49,7 @@ def test_parse_alphabet(spec, expected):
     ("", "''"),
 ])
 def test_parse_alphabet_errors_name_the_token(spec, token):
-    with pytest.raises(AlphabetParseError) as excinfo:
+    with pytest.raises(DomainError) as excinfo:
         parse_alphabet(spec)
     assert token in str(excinfo.value)
 
@@ -281,6 +282,27 @@ def test_exit_code_unsupported_closed_form(capsys):
     code, out, err = run_cli(capsys, "weak", "2", "1", "--alphabet", "3", "--method", "closed")
     assert code == 4
     assert "closed form" in err
+
+
+def test_each_nonzero_error_exit_code_has_one_class():
+    classes, seen = [], [CompCountError]
+    while seen:
+        subclasses = seen.pop().__subclasses__()
+        classes += subclasses
+        seen += subclasses
+    assert sorted(cls.exit_code for cls in classes) == [2, 3, 4]
+
+
+def test_the_guard_is_no_function_argument():
+    # The guard comes from COMPCOUNT_GUARD (brute oracle) or the constant
+    # hessenberg.SUBSET_GUARD alone, never from a caller.
+    for module in (enumeration, hessenberg, verify):
+        functions = [f for f in vars(module).values()
+                     if inspect.isfunction(f) and f.__module__ == module.__name__]
+        if module is verify:
+            functions += verify._REPORT_BUILDERS.values()
+        for function in functions:
+            assert "guard" not in inspect.signature(function).parameters, function
 
 
 def test_usage_error_exits_two(capsys):

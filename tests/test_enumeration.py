@@ -136,13 +136,14 @@ def test_equal_alphabets_built_differently_share_one_cached_table():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def test_weak_brute_table_allocates_only_for_reachable_sums():
+def test_weak_brute_table_allocates_only_for_reachable_sums(monkeypatch):
     # One part value of 200000: only the sums 0 and 200000 are reached, so
     # the other 199999 rows are one shared zero row, not a row each.
+    monkeypatch.setenv("COMPCOUNT_GUARD", "300000")
     enumeration._weak_table.cache_clear()
     tracemalloc.start()
     try:
-        table = weak_brute_table(200000, 0, PartAlphabet.of(200000), guard=300000)
+        table = weak_brute_table(200000, 0, PartAlphabet.of(200000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,20 +183,15 @@ def test_guard_refuses_large_targets():
         weak_brute_table(0, 26, PartAlphabet.upto(2))
 
 
-def test_guard_is_configurable_per_call():
-    with pytest.raises(GuardExceeded):
-        count_compositions_brute(5, PartAlphabet.upto(2), guard=4)
-    with pytest.raises(GuardExceeded):
-        weak_brute_table(5, 2, PartAlphabet.upto(2), guard=4)
-    assert count_compositions_brute(26, PartAlphabet.of(13), guard=30) == 1
-
-
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("COMPCOUNT_GUARD", "30")
     assert count_compositions_brute(27, PartAlphabet.of((27, 1))) == 1
-    monkeypatch.setenv("COMPCOUNT_GUARD", "3")
+    monkeypatch.setenv("COMPCOUNT_GUARD", "4")
+    assert count_compositions_brute(4, PartAlphabet.upto(2)) == 5
     with pytest.raises(GuardExceeded):
-        count_compositions_brute(4, PartAlphabet.upto(2))
+        count_compositions_brute(5, PartAlphabet.upto(2))
+    with pytest.raises(GuardExceeded):
+        weak_brute_table(5, 2, PartAlphabet.upto(2))
 
 
 def test_negative_targets_rejected():

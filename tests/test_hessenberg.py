@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
-from compcount.errors import DomainError, GuardExceeded, IndexOutOfRange
+from compcount import hessenberg
+from compcount.errors import DomainError, GuardExceeded
 from compcount.hessenberg import (
     HessMatrix,
     build_matrix,
@@ -61,9 +62,9 @@ def test_matrix_entries_and_bounds():
     assert m.entry(2, 1) == -1
     assert m.entry(3, 1) == 0
     assert m.entry(1, 2) == 1
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError):
         m.entry(0, 1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError):
         m.entry(1, 4)
     with pytest.raises(DomainError):
         build_matrix(PartAlphabet.upto(2), 0)
@@ -146,9 +147,9 @@ def test_principal_minor_values():
 
 def test_principal_minor_index_validation():
     m = build_matrix(PartAlphabet.upto(3), 3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError):
         principal_minor(m, {0})
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError):
         principal_minor(m, {4})
 
 
@@ -175,7 +176,7 @@ def test_minor_product_formula_matches_minors_exhaustively():
                     ), (alphabet, n, deleted)
 
 
-def test_minor_sums_by_subsets():
+def test_minor_sums_by_subsets(monkeypatch):
     m3 = build_matrix(PartAlphabet.upto(3), 3)
     assert minor_sum_subsets(m3, 2) == 5
     assert minor_sum_subsets(m3, 0) == 1
@@ -186,7 +187,8 @@ def test_minor_sums_by_subsets():
         minor_sum_subsets(m3, 4)
     with pytest.raises(GuardExceeded):
         minor_sum_subsets(build_matrix(PartAlphabet.upto(2), 23), 1)
-    assert minor_sum_subsets(build_matrix(PartAlphabet.upto(2), 23), 23, guard=23) \
+    monkeypatch.setattr(hessenberg, "SUBSET_GUARD", 23)
+    assert minor_sum_subsets(build_matrix(PartAlphabet.upto(2), 23), 23) \
         == det_hessenberg(build_matrix(PartAlphabet.upto(2), 23))
 
 

@@ -35,11 +35,9 @@ def test_generating_function_transcribes_the_alphabet(alphabet, length, expected
     assert alphabet.generating_function(length) == expected
 
 
-def test_extend_series_continues_a_given_prefix():
-    # 1 / (1 - x - x^2) is the Fibonacci series; the list is extended in place
-    terms = [1, 1, 2]
-    assert extend_series(terms, (1,), (1, -1, -1), 7) is terms
-    assert terms == [1, 1, 2, 3, 5, 8, 13]
+def test_extend_series_expands_the_fibonacci_series():
+    # 1 / (1 - x - x^2) is the Fibonacci series
+    assert extend_series((1,), (1, -1, -1), 7) == [1, 1, 2, 3, 5, 8, 13]
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,7 +45,7 @@ def test_extend_series_continues_a_given_prefix():
 def test_generating_function_series_matches_brute(alphabet):
     # One color per value keeps the brute stream at n = 12 within 2^11
     # compositions; colored alphabets meet the brute oracle at n <= 9 below.
-    assert extend_series([], *alphabet.generating_function(13), 13) == [
+    assert extend_series(*alphabet.generating_function(13), 13) == [
         count_compositions_brute(n, alphabet) for n in range(13)
     ]
 
@@ -160,7 +158,7 @@ def _quotients(draw):
 @given(_quotients())
 def test_series_term_is_the_series_coefficient(quotient):
     num, den, n = quotient
-    assert series_term(num, den, n) == extend_series([], num, den, n + 1)[n]
+    assert series_term(num, den, n) == extend_series(num, den, n + 1)[n]
 
 
 @pytest.mark.parametrize(

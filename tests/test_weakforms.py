@@ -11,10 +11,6 @@ from compcount.verify import (
     BATTERY,
     adjudicate_fib_block_identity,
     check_fib_convolution_identity,
-    check_weak_block_convolution,
-    check_weak_minor_sum,
-    check_weak_parts12_closed,
-    check_weak_unrestricted_closed,
     run_identity,
 )
 from compcount.weakforms import (
@@ -211,16 +207,18 @@ def test_adjudication_report_structure():
 
 
 @pytest.mark.parametrize("max_n,max_k", [(5, 4), (7, 1)])
-def test_adjudication_passes_the_guard_when_its_largest_point_fits(max_n, max_k):
-    assert len(adjudicate_fib_block_identity(max_n, max_k, guard=8).points) == max_n * (max_k + 1)
+def test_adjudication_passes_the_guard_when_its_largest_point_fits(max_n, max_k, monkeypatch):
+    monkeypatch.setenv("COMPCOUNT_GUARD", "8")
+    assert len(adjudicate_fib_block_identity(max_n, max_k).points) == max_n * (max_k + 1)
 
 
 @pytest.mark.parametrize("max_n,max_k", [(6, 4), (8, 1), (8, 0)])
-def test_adjudication_refuses_past_the_guard(max_n, max_k):
+def test_adjudication_refuses_past_the_guard(max_n, max_k, monkeypatch):
     # the largest brute totals read are max_n + max_k - 1 (with k zeros)
     # and max_n + 1 (the shifted k = 0 check); either past 8 is refused
+    monkeypatch.setenv("COMPCOUNT_GUARD", "8")
     with pytest.raises(GuardExceeded):
-        adjudicate_fib_block_identity(max_n, max_k, guard=8)
+        adjudicate_fib_block_identity(max_n, max_k)
 
 
 def test_adjudication_text_serialization():
@@ -270,10 +268,10 @@ def test_report_json_dict_field_names():
 
 def test_identity_runners_agree_on_small_grids():
     assert check_fib_convolution_identity(12).agree
-    assert all(r.agree for r in check_weak_block_convolution(7, 2))
-    assert all(r.agree for r in check_weak_minor_sum(7, 2))
-    assert check_weak_unrestricted_closed(8, 4).agree
-    assert check_weak_parts12_closed(8, 3).agree
+    assert all(r.agree for r in run_identity("thm8", 7, 2))
+    assert all(r.agree for r in run_identity("thm9", 7, 2))
+    assert all(r.agree for r in run_identity("thm10", 8, 4))
+    assert all(r.agree for r in run_identity("thm11", 8, 3))
 
 
 def test_run_identity_dispatch():
