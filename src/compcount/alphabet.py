@@ -103,18 +103,6 @@ class PartAlphabet:
                 den[value] -= multiplicity
         return num, tuple(den)
 
-    def multiplicity(self, value: int) -> int:
-        """Number of colors of ``value``; 0 when the value is not allowed."""
-        if self.interval is not None:
-            lo, hi = self.interval
-            return 1 if lo <= value and (hi is None or value <= hi) else 0
-        for v, q in self.parts:
-            if v == value:
-                return q
-            if v > value:
-                break
-        return 0
-
     def parts_within(self, limit: int) -> tuple[tuple[int, int], ...]:
         """All (value, multiplicity) pairs with value <= limit, ascending."""
         if self.interval is not None:

@@ -15,6 +15,7 @@ because an oracle must never return a wrong count.
 """
 
 import itertools
+import math
 import os
 import sys
 from collections import Counter
@@ -22,7 +23,6 @@ from functools import lru_cache
 
 from .alphabet import PartAlphabet
 from .errors import DomainError, GuardExceeded
-from .numbers import binomial
 
 DEFAULT_GUARD = 25
 GUARD_ENV_VAR = "COMPCOUNT_GUARD"
@@ -69,8 +69,9 @@ def enumerate_compositions(n: int, alphabet: PartAlphabet):
 
 
 def _colored_stream(n, alphabet):
+    color_count = dict(alphabet.parts_within(n))
     for values in _value_sequences(n, alphabet):
-        color_ranges = [range(1, alphabet.multiplicity(v) + 1) for v in values]
+        color_ranges = [range(1, color_count[v] + 1) for v in values]
         for colors in itertools.product(*color_ranges):
             yield tuple(zip(values, colors))
 
@@ -180,4 +181,4 @@ def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet) -> int:
         raise DomainError(f"zero count must be >= 0, got {k}")
     _check_guard("k", k)
     lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
-    return sum(count * binomial(p + k, k) for p, count in lengths.items())
+    return sum(count * math.comb(p + k, k) for p, count in lengths.items())

@@ -69,7 +69,10 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> HessMatrix:
     of n."""
     if n < 1:
         raise DomainError(f"matrix order must be >= 1, got {n}")
-    return HessMatrix(tuple(alphabet.multiplicity(d) for d in range(1, n + 1)))
+    band = [0] * n
+    for value, colors in alphabet.parts_within(n):
+        band[value - 1] = colors
+    return HessMatrix(tuple(band))
 
 
 def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:

@@ -14,8 +14,6 @@ from .enumeration import weak_brute_table
 from .errors import DomainError
 from .reports import GridPoint, VerificationReport
 from .weakforms import (
-    convolved_fibonacci,
-    convolved_fibonacci_binomial,
     count_weak_convolution,
     count_weak_minor_sum,
     count_weak_parts12_closed,
@@ -35,9 +33,14 @@ BATTERY: tuple[tuple[str, PartAlphabet], ...] = (
 
 
 def check_fib_convolution_identity(max_n: int) -> VerificationReport:
-    """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n."""
+    """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n.
+    F_{j+1} counts the compositions of j into parts {1, 2}, so the
+    (k+1)-fold convolution at n - k is the weak count over {1, 2} at
+    (n - k, k), set against that count's closed form."""
+    parts12 = PartAlphabet.upto(2)
     points = tuple(
-        GridPoint(n=n, k=k, lhs=convolved_fibonacci(n, k), rhs=convolved_fibonacci_binomial(n, k))
+        GridPoint(n=n, k=k, lhs=count_weak_convolution(n - k, k, parts12),
+                  rhs=count_weak_parts12_closed(n - k, k))
         for n in range(max_n + 1)
         for k in range(n + 1)
     )

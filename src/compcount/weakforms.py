@@ -12,11 +12,48 @@ Fibonacci-block identity (``verify`` adjudicates its claimed
 weak-composition target against the brute oracle rather than assuming it).
 """
 
+import math
+
 from .alphabet import PartAlphabet
 from .errors import DomainError
 from .hessenberg import build_matrix, minor_sum
-from .numbers import binomial, convolution_power, fibonacci_prefix, power_prefix
 from .recurrence import extend_series
+
+
+def binomial(a: int, b: int) -> int:
+    """C(a, b) with the convention C(a, b) = 0 for b < 0 or b > a >= 0.
+
+    A negative ``a`` with ``b >= 0`` is rejected rather than evaluated via
+    the generalized identity: the summations in this module never reach
+    one, so doing so would mask an index bug.
+    """
+    if b < 0:
+        return 0
+    if a < 0:
+        raise DomainError(f"binomial({a}, {b}): negative upper index")
+    if b > a:
+        return 0
+    return math.comb(a, b)
+
+
+def convolve_prefix(xs: list[int], ys: list[int], length: int) -> list[int]:
+    """First ``length`` coefficients of the product of two coefficient lists."""
+    out = [0] * length
+    for i, x in enumerate(xs[:length]):
+        if x:
+            for j, y in enumerate(ys[: length - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def power_prefix(seq, folds: int, length: int) -> list[int]:
+    """First ``length`` coefficients of (sum_j seq[j] x^j) ** folds, folds >= 1."""
+    base = list(seq[:length])
+    acc = base + [0] * (length - len(base))
+    for _ in range(folds - 1):
+        acc = convolve_prefix(acc, base, length)
+    return acc
 
 
 def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
@@ -44,31 +81,6 @@ def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
     if n + k == 0:
         return 1
     return minor_sum(build_matrix(alphabet, n + k), n)
-
-
-def convolved_fibonacci(n: int, k: int) -> int:
-    """(k+1)-fold Fibonacci convolution:
-    sum over j_1+...+j_{k+1} = n-k (j_t >= 0) of prod_t F_{j_t + 1}."""
-    _check_fib_args(n, k)
-    shifted = fibonacci_prefix(n - k + 1)
-    return convolution_power(shifted, k + 1, n - k)
-
-
-def convolved_fibonacci_binomial(n: int, k: int) -> int:
-    """Closed binomial form of the same convolution:
-    sum_{i=0}^{floor((n-k)/2)} C(n-i, i) * C(n-2i, k)."""
-    _check_fib_args(n, k)
-    return sum(
-        binomial(n - i, i) * binomial(n - 2 * i, k)
-        for i in range((n - k) // 2 + 1)
-    )
-
-
-def _check_fib_args(n, k):
-    if n < 0 or k < 0:
-        raise DomainError(f"arguments must be >= 0, got n={n}, k={k}")
-    if k > n:
-        raise DomainError(f"zero count {k} exceeds target {n}")
 
 
 def count_weak_unrestricted_closed(n: int, k: int) -> int:
@@ -115,11 +127,12 @@ def count_weak_parts12_closed(n: int, k: int) -> int:
 
 def fib_block_convolution(n: int, k: int) -> int:
     """(k+1)-fold convolution at n of the shifted sequence b_0 = 1,
-    b_j = F_j (j >= 1): sum over j_1+...+j_{k+1} = n of prod_t b_{j_t}."""
+    b_j = F_j (j >= 1): sum over j_1+...+j_{k+1} = n of prod_t b_{j_t}.
+    F_j counts the compositions of j into odd parts, so this is the weak
+    count over the odd parts up to n."""
     if n < 1 or k < 0:
         raise DomainError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    shifted = [1] + fibonacci_prefix(n)
-    return convolution_power(shifted, k + 1, n)
+    return count_weak_convolution(n, k, PartAlphabet.of(*range(1, n + 1, 2)))
 
 
 def fib_block_closed(n: int, k: int) -> int:

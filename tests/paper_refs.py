@@ -1,7 +1,8 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
-the prefix of counts, and principal minors of the counting matrix as
-products of counts."""
+the direct convolution power that weak counts are checked against, the
+prefix of counts, and principal minors of the counting matrix as products
+of counts."""
 
 from compcount.alphabet import PartAlphabet
 from compcount.errors import DomainError
@@ -16,6 +17,20 @@ def fibonacci(i: int) -> int:
     for _ in range(i - 1):
         a, b = b, a + b
     return a
+
+
+def convolution_power(seq, folds: int, index: int) -> int:
+    """Coefficient of x^index in (sum_j seq[j] x^j) ** folds, folds >= 1, by
+    repeated direct convolution (no series kernel of the package)."""
+    if index < 0:
+        raise DomainError(f"coefficient index must be >= 0, got {index}")
+    if folds < 1:
+        raise DomainError(f"need at least one convolution factor, got {folds}")
+    base = (list(seq) + [0] * (index + 1))[: index + 1]
+    acc = base
+    for _ in range(folds - 1):
+        acc = [sum(acc[i] * base[j - i] for i in range(j + 1)) for j in range(index + 1)]
+    return acc[index]
 
 
 def kstep_fibonacci(k: int, i: int) -> int:

@@ -18,12 +18,9 @@ from compcount.hessenberg import (
     minor_sum_subsets,
     principal_minor,
 )
-from compcount.numbers import convolution_power
 from compcount.recurrence import count_compositions
-from compcount.verify import BATTERY, adjudicate_fib_block_identity
+from compcount.verify import BATTERY, adjudicate_fib_block_identity, check_fib_convolution_identity
 from compcount.weakforms import (
-    convolved_fibonacci,
-    convolved_fibonacci_binomial,
     count_weak_convolution,
     count_weak_minor_sum,
     count_weak_parts12_closed,
@@ -32,7 +29,13 @@ from compcount.weakforms import (
     fib_block_convolution,
 )
 
-from paper_refs import fibonacci, kstep_fibonacci, minor_product_formula, sequence_prefix
+from paper_refs import (
+    convolution_power,
+    fibonacci,
+    kstep_fibonacci,
+    minor_product_formula,
+    sequence_prefix,
+)
 
 ALL_PARTS = PartAlphabet.at_least(1)
 
@@ -119,9 +122,9 @@ def test_criterion_05_minor_sums_and_products():
 
 def test_criterion_06_fibonacci_convolution_closed_form():
     with _Criterion(6, "Fibonacci convolution = binomial sum for 0<=k<=n<=25", 5.0):
-        for n in range(26):
-            for k in range(n + 1):
-                assert convolved_fibonacci(n, k) == convolved_fibonacci_binomial(n, k)
+        for p in check_fib_convolution_identity(25).points:
+            shifted = [fibonacci(j + 1) for j in range(p.n - p.k + 1)]
+            assert p.lhs == p.rhs == convolution_power(shifted, p.k + 1, p.n - p.k), (p.n, p.k)
 
 
 def test_criterion_07_weak_convolution_matches_brute():

@@ -411,8 +411,10 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_golden_cli_output(capsys, case):
-    """stdout and exit code match those recorded before the counts, weak
-    counts and tables moved onto the rational generating function."""
+    """stdout and exit code match those recorded before the routes they
+    run were last changed (the counts, weak counts and tables moving onto
+    the rational generating function; eq1 and thm12 moving onto the
+    series route)."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
 

@@ -4,8 +4,7 @@ computes.
 
 Each route runs once per alphabet under ``sys.setprofile``, which records
 every compcount function it calls. Two compared routes may both call into
-``alphabet`` (the input) and ``errors``, and into the names in
-``SHARED_OK``, and into nothing else.
+``alphabet`` (the input) and ``errors``, and into nothing else.
 
 Independence holds at import time too: a fresh interpreter that imports
 the package, or one route's module, or runs one command, loads no other
@@ -27,8 +26,6 @@ from compcount.enumeration import count_compositions_brute, count_weak_brute
 from compcount.hessenberg import build_matrix, det_hessenberg
 from compcount.recurrence import count_compositions
 from compcount.weakforms import (
-    convolved_fibonacci,
-    convolved_fibonacci_binomial,
     count_weak_convolution,
     count_weak_minor_sum,
     count_weak_parts12_closed,
@@ -40,10 +37,6 @@ from compcount.weakforms import (
 PACKAGE = Path(compcount.__file__).parent
 ALPHABETS = (PartAlphabet.at_least(2), PartAlphabet.of((1, 2), (3, 1)))
 ALWAYS_SHARED = ("alphabet.", "errors.")
-# Argument checks that compute nothing, with the pair that shares them.
-SHARED_OK = {
-    ("fib_convolution", "fib_binomial"): {"weakforms._check_fib_args"},
-}
 
 
 def _brute(alphabet):
@@ -68,9 +61,11 @@ ROUTES = {
     "parts12_closed": (lambda a: count_weak_parts12_closed(6, 2),
                        "weakforms.count_weak_parts12_closed"),
     "fib_block_closed": (lambda a: fib_block_closed(6, 2), "weakforms.fib_block_closed"),
-    "fib_block_convolution": (lambda a: fib_block_convolution(6, 2), "numbers.convolve_prefix"),
-    "fib_convolution": (lambda a: convolved_fibonacci(6, 2), "numbers.convolve_prefix"),
-    "fib_binomial": (lambda a: convolved_fibonacci_binomial(6, 2), "numbers.binomial"),
+    "fib_block_convolution": (lambda a: fib_block_convolution(6, 2), "recurrence.extend_series"),
+    # eq1 at (n, k) = (6, 2) reads both sides at (n - k, k)
+    "fib_convolution": (lambda a: count_weak_convolution(4, 2, PartAlphabet.upto(2)),
+                        "recurrence.extend_series"),
+    "fib_binomial": (lambda a: count_weak_parts12_closed(4, 2), "weakforms.binomial"),
 }
 
 # Every pair of routes whose results are set against each other.
@@ -130,7 +125,7 @@ def test_compared_routes_share_no_function(traces, pair):
         name for name in traces[first] & traces[second]
         if not name.startswith(ALWAYS_SHARED)
     }
-    assert shared <= SHARED_OK.get(pair, set()), shared
+    assert shared == set(), shared
 
 
 def test_the_trace_sees_what_a_route_calls():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
-from compcount.numbers import convolution_power
 from compcount.recurrence import count_compositions
 from compcount.reports import GridPoint, VerificationReport
 from compcount.verify import (
@@ -14,8 +13,6 @@ from compcount.verify import (
     run_identity,
 )
 from compcount.weakforms import (
-    convolved_fibonacci,
-    convolved_fibonacci_binomial,
     count_weak_convolution,
     count_weak_minor_sum,
     count_weak_parts12_closed,
@@ -25,7 +22,7 @@ from compcount.weakforms import (
     weak_counts,
 )
 
-from paper_refs import fibonacci, sequence_prefix
+from paper_refs import convolution_power, fibonacci, sequence_prefix
 from strategies import alphabets
 
 
@@ -112,22 +109,33 @@ def test_weak_routes_match_brute_random(alphabet, n, k):
     ],
 )
 def test_convolved_fibonacci_point_values(n, k, lhs, rhs):
-    assert convolved_fibonacci(n, k) == lhs
-    assert convolved_fibonacci_binomial(n, k) == rhs
+    # eq1's sides: the weak count over {1, 2} and its closed form at (n - k, k)
+    assert count_weak_convolution(n - k, k, PartAlphabet.upto(2)) == lhs
+    assert count_weak_parts12_closed(n - k, k) == rhs
+    assert convolution_power(_shifted_fibonacci(n - k), k + 1, n - k) == lhs
+
+
+def _shifted_fibonacci(top):
+    """F_1, ..., F_{top+1}: F_{j+1} counts the compositions of j into {1, 2}."""
+    return [fibonacci(j + 1) for j in range(top + 1)]
 
 
 def test_convolved_fibonacci_identity_grid():
-    for n in range(26):
-        for k in range(n + 1):
-            assert convolved_fibonacci(n, k) == convolved_fibonacci_binomial(n, k)
+    report = check_fib_convolution_identity(25)
+    assert len(report.points) == 26 * 27 // 2
+    for p in report.points:
+        fib_convolution = convolution_power(_shifted_fibonacci(p.n - p.k), p.k + 1, p.n - p.k)
+        assert p.lhs == p.rhs == fib_convolution, (p.n, p.k)
 
 
 def test_convolved_fibonacci_rejects_bad_arguments():
-    for fn in (convolved_fibonacci, convolved_fibonacci_binomial):
+    # eq1 read at (n - k, k): a zero count above the target, or a negative
+    # target, is no weak count
+    for n, k in ((3, 4), (-1, 0)):
         with pytest.raises(DomainError):
-            fn(3, 4)
+            count_weak_convolution(n - k, k, PartAlphabet.upto(2))
         with pytest.raises(DomainError):
-            fn(-1, 0)
+            count_weak_parts12_closed(n - k, k)
 
 
 @pytest.mark.parametrize("n,k,expected", [(2, 1, 5), (3, 2, 25), (1, 1, 2)])
@@ -183,6 +191,15 @@ def test_fib_block_point_values(n, k, closed, convolution):
 def test_fib_block_convolution_with_no_zeros_is_fibonacci():
     for n in range(1, 12):
         assert fib_block_convolution(n, 0) == fibonacci(n)
+
+
+def test_fib_block_convolution_is_the_literal_convolution():
+    # b_0 = 1, b_j = F_j, convolved directly, against the weak count over
+    # odd parts that the function reads
+    for n in range(1, 16):
+        shifted = [1] + [fibonacci(j) for j in range(1, n + 1)]
+        for k in range(5):
+            assert fib_block_convolution(n, k) == convolution_power(shifted, k + 1, n), (n, k)
 
 
 def test_fib_block_closed_equals_convolution():
