@@ -3,15 +3,19 @@
 
 recurrence: one count c(n) by Bostan-Mori halving, O(log n) polynomial
 products, each one Kronecker-packed big-int multiply; on `upto:3` up to
-n = 10^6 and on the wide denominator of `upto:1000`. series: the first
-n + 1 terms of N/D term by term (extend_series), O(n*r) for r nonzero lags
-of D, which `table` and the weak counts use. det: column 0 of the
+n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, and on the wide
+denominator of `upto:1000`. series: the first n + 1 terms of N/D term by
+term (extend_series), O(n*r) for r nonzero lags of D, which `table` and
+the weak counts use; `upto:50` and `upto:2000` take the run form of their
+generating function, whose D has three nonzero terms. det: column 0 of the
 Hessenberg charpoly table, n + 1 cells of one addition per nonzero head
 lag plus one for the band's constant tail (a running sum), so O(n)
 additions for an unbounded alphabet. charpoly: the whole table, O(n^2)
 such cells. minors: the weak count with six zeros as the sum of order-n
 minors of the order-(n+6) matrix, a table cut to (n+1) * 7 cells. conv:
-weak counts with two zeros as the series of N^3 / D^3, O(n * 3 deg D).
+weak counts with two zeros as the series of N^3 / D^3, O(n * r) for r
+nonzero lags of D^3, on `all` and on the wide intervals `upto:50` and
+`upto:2000`.
 brute: the brute-force oracle, one tally per weak sequence in the grid,
 so 2^n tallies for count_compositions_brute(n) on `all` (the weak table
 with no zeros) and more for weak_brute_table(n, k), which visits every
@@ -29,6 +33,13 @@ grid's corner cell of a brute table) as a sanity check: c(10^6) on
 `upto:3` has 879146 bits. One line per start-up command: the median
 seconds of STARTUP_RUNS runs, after one untimed run of each that fills the
 bytecode cache.
+
+`--margin M` sets alphabet.RUN_FORM_MARGIN for the kernel suites: run the
+recurrence suite at the default and at `--margin 1`, where every `upto:K`
+with K >= 3 takes the run form, to see what the run form costs one count
+at each K; run the conv or series suite at `--margin 1000000`, where every
+bounded alphabet stays dense, to see what the run form saves on
+`upto:2000`.
 """
 
 import argparse
@@ -41,7 +52,7 @@ import tracemalloc
 from pathlib import Path
 
 import compcount
-from compcount import enumeration
+from compcount import alphabet as alphabet_module, enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import build_matrix, charpoly, det_hessenberg
@@ -51,12 +62,15 @@ from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
 RUNS = 5
 POINTS = {
     "recurrence": (("upto:3", 10**4), ("upto:3", 10**5), ("upto:3", 10**6),
-                   ("upto:1000", 5000)),
-    "series": (("all", 5000), ("all", 10000), ("all", 20000), ("upto:20", 10000)),
+                   ("upto:4", 2 * 10**5), ("upto:8", 2 * 10**5), ("upto:13", 2 * 10**5),
+                   ("upto:32", 2 * 10**5), ("upto:1000", 5000)),
+    "series": (("all", 5000), ("all", 10000), ("all", 20000), ("upto:20", 10000),
+               ("upto:50", 10000), ("upto:2000", 10000)),
     "det": (("all", 10000), ("all", 20000), ("all", 40000)),
     "charpoly": (("all", 250), ("all", 500), ("all", 1000)),
     "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
-    "conv": (("all", 100), ("all", 250), ("all", 500)),
+    "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
+             ("upto:2000", 2000)),
     "brute": (("all", 16), ("all", 18), ("all", 20), ("all", (10, 3)), ("all", (11, 3)),
               ("all", (12, 3))),
 }
@@ -123,7 +137,11 @@ def measure_startup() -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(POINTS) + ["startup", "all"], default="all")
+    parser.add_argument("--margin", type=int, default=alphabet_module.RUN_FORM_MARGIN,
+                        help="alphabet.RUN_FORM_MARGIN for the kernel suites"
+                             " (default: %(default)s)")
     args = parser.parse_args(argv)
+    alphabet_module.RUN_FORM_MARGIN = args.margin
 
     if args.suite in ("startup", "all"):
         for name, seconds in measure_startup().items():

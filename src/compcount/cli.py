@@ -56,7 +56,7 @@ def parse_alphabet(text: str) -> PartAlphabet:
             raise DomainError(f"bad token {token!r} in alphabet spec {spec!r}")
         parts.append((value, mult))
     try:
-        return PartAlphabet(parts=tuple(parts))
+        return PartAlphabet.of(*parts)
     except DomainError as exc:
         raise DomainError(f"invalid alphabet spec {spec!r}: {exc}") from None
 

@@ -26,7 +26,7 @@ sign tracking for zero pivots.
 
 from itertools import combinations
 
-from .alphabet import PartAlphabet
+from .alphabet import PartAlphabet, runs
 from .errors import DomainError, GuardExceeded
 
 SUBSET_GUARD = 22
@@ -82,23 +82,21 @@ def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
     order-(j-i) principal minors of the leading order-j block M_j.
 
     c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1.
-    When the band ends in a nonzero run v_T = ... = v_n = v, the lags
-    d >= T collapse to v * S_i(t - T), S_i being the running sum of the
-    column being filled and t = j - i the cell's place in it. So a cell
-    costs one addition per nonzero head lag d < T plus one for the tail,
-    and adds instead of multiplying by 1; a band ending in 0 has no tail.
+    The band's last run, from alphabet.runs over its (lag, value) pairs as
+    over an alphabet's (value, colors) pairs, is its tail v_T = ... = v_n
+    = v. If v is nonzero, the lags d >= T collapse to v * S_i(t - T), S_i
+    being the running sum of the column being filled and t = j - i the
+    cell's place in it. So a cell costs one addition per nonzero head lag
+    d < T plus one for the tail, and adds instead of multiplying by 1; a
+    band ending in 0 has no tail.
     A cell at j reads its own column at i <= j-d and the previous column
     at j-1, so cutting every column at j = i + width leaves the cells it
     keeps exact.
     """
     n = matrix.order
     band = matrix.band
-    tail = band[-1]
-    start = n + 1  # T, the first offset of the tail; past the band if v = 0
-    if tail:
-        start = n
-        while start > 1 and band[start - 2] == tail:
-            start -= 1
+    first, _, tail = runs(enumerate(band, start=1))[-1]
+    start = first if tail else n + 1  # T, the first lag of the tail; past the band if v = 0
     lags = [(d, v) for d, v in enumerate(band[: start - 1], start=1) if v]
     ends = []
     previous = [1] + [0] * width
@@ -154,24 +152,6 @@ def det_bareiss(rows) -> int:
             target[col] = 0
         previous_pivot = pivot
     return sign * m[n - 1][n - 1] if n else 1
-
-
-def _validate_deleted(deleted, n) -> tuple[int, ...]:
-    indices = tuple(sorted(set(deleted)))
-    for i in indices:
-        if not 1 <= i <= n:
-            raise DomainError(f"index {i} outside 1..{n}")
-    return indices
-
-
-def principal_minor(matrix: HessMatrix, deleted) -> int:
-    """Determinant of the submatrix retaining the rows and columns not in
-    ``deleted`` (1-indexed); deleting everything leaves minor 1."""
-    n = matrix.order
-    indices = set(_validate_deleted(deleted, n))
-    retained = [i for i in range(1, n + 1) if i not in indices]
-    dense = [[matrix.entry(i, j) for j in retained] for i in retained]
-    return det_bareiss(dense)
 
 
 def check_minor_subsets(n: int, order: int):

@@ -20,6 +20,7 @@ from .weakforms import (
     count_weak_unrestricted_closed,
     fib_block_closed,
     fib_block_convolution,
+    weak_counts,
 )
 
 BATTERY: tuple[tuple[str, PartAlphabet], ...] = (
@@ -36,11 +37,11 @@ def check_fib_convolution_identity(max_n: int) -> VerificationReport:
     """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n.
     F_{j+1} counts the compositions of j into parts {1, 2}, so the
     (k+1)-fold convolution at n - k is the weak count over {1, 2} at
-    (n - k, k), set against that count's closed form."""
-    parts12 = PartAlphabet.upto(2)
+    (n - k, k), set against that count's closed form. One weak series per
+    k holds that count for every n of the grid."""
+    columns = [weak_counts(max_n - k, k, PartAlphabet.upto(2)) for k in range(max_n + 1)]
     points = tuple(
-        GridPoint(n=n, k=k, lhs=count_weak_convolution(n - k, k, parts12),
-                  rhs=count_weak_parts12_closed(n - k, k))
+        GridPoint(n=n, k=k, lhs=columns[k][n - k], rhs=count_weak_parts12_closed(n - k, k))
         for n in range(max_n + 1)
         for k in range(n + 1)
     )

@@ -1,11 +1,12 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
-prefix of counts, and principal minors of the counting matrix as products
-of counts."""
+prefix of counts, and principal minors of the counting matrix, by
+elimination and as products of counts."""
 
 from compcount.alphabet import PartAlphabet
 from compcount.errors import DomainError
+from compcount.hessenberg import HessMatrix, det_bareiss
 from compcount.recurrence import extend_series
 
 
@@ -68,3 +69,21 @@ def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:
         product *= terms[i - previous - 1]
         previous = i
     return product * terms[n - previous]
+
+
+def _validate_deleted(deleted, n) -> tuple[int, ...]:
+    indices = tuple(sorted(set(deleted)))
+    for i in indices:
+        if not 1 <= i <= n:
+            raise DomainError(f"index {i} outside 1..{n}")
+    return indices
+
+
+def principal_minor(matrix: HessMatrix, deleted) -> int:
+    """Determinant of the submatrix retaining the rows and columns not in
+    ``deleted`` (1-indexed); deleting everything leaves minor 1."""
+    n = matrix.order
+    indices = set(_validate_deleted(deleted, n))
+    retained = [i for i in range(1, n + 1) if i not in indices]
+    dense = [[matrix.entry(i, j) for j in retained] for i in retained]
+    return det_bareiss(dense)

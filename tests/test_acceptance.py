@@ -16,7 +16,6 @@ from compcount.hessenberg import (
     det_bareiss,
     det_hessenberg,
     minor_sum_subsets,
-    principal_minor,
 )
 from compcount.recurrence import count_compositions
 from compcount.verify import BATTERY, adjudicate_fib_block_identity, check_fib_convolution_identity
@@ -34,6 +33,7 @@ from paper_refs import (
     fibonacci,
     kstep_fibonacci,
     minor_product_formula,
+    principal_minor,
     sequence_prefix,
 )
 

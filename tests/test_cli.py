@@ -58,14 +58,14 @@ def test_a_run_of_one_color_values_is_its_interval():
     assert PartAlphabet.of(1, 2) == PartAlphabet.upto(2)
     assert hash(PartAlphabet.of(1, 2)) == hash(PartAlphabet.upto(2))
     assert parse_alphabet("1,2,3") == PartAlphabet.upto(3)
-    assert parse_alphabet("2,3,4") == PartAlphabet(interval=(2, 4))
+    assert parse_alphabet("2,3,4") == PartAlphabet(((2, 4, 1),))
     assert str(PartAlphabet.of(2, 3, 4)) == "2,3,4"
     assert parse_alphabet("1,3") != parse_alphabet("1,2,3") != parse_alphabet("1,2x2,3")
     assert PartAlphabet.upto(2) != (1, 2)
-    assert PartAlphabet.upto(2) != ((), (1, 2))
+    assert PartAlphabet.upto(2) != ((1, 2, 1),)
 
 
-@pytest.mark.parametrize("attribute", ["parts", "interval", "extra"])
+@pytest.mark.parametrize("attribute", ["runs", "extra"])
 def test_an_alphabet_cannot_be_changed(attribute):
     # Alphabets key the brute walk's cache.
     alphabet = PartAlphabet.upto(2)
@@ -77,14 +77,15 @@ def test_an_alphabet_cannot_be_changed(attribute):
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: PartAlphabet(parts=((1, 1),), interval=(1, 2)), "carries no explicit parts"),
-    (lambda: PartAlphabet(interval=(0, None)), "threshold must be a positive integer"),
+    (lambda: PartAlphabet(((0, None, 1),)), "threshold must be a positive integer"),
     (lambda: PartAlphabet.at_least(0), "threshold must be a positive integer"),
-    (lambda: PartAlphabet(interval=(3, 2)), "empty interval 3..2"),
-    (lambda: PartAlphabet(), "needs at least one part value"),
+    (lambda: PartAlphabet(((3, 2, 1),)), "empty interval 3..2"),
+    (lambda: PartAlphabet(()), "needs at least one part value"),
     (lambda: PartAlphabet.of(2, 1), "strictly increasing, got 1"),
     (lambda: PartAlphabet.of((1, 1), (1, 2)), "strictly increasing, got 1"),
     (lambda: PartAlphabet.of((3, 0)), "multiplicity of part 3 must be >= 1"),
+    (lambda: PartAlphabet(((1, None, 1), (5, 6, 1))), "strictly increasing, got 5"),
+    (lambda: PartAlphabet(((1, 2, 1), (3, 4, 1))), "run from 3 continues the run before it"),
     (lambda: PartAlphabet.upto(0), "upper bound must be a positive integer"),
 ])
 def test_an_invalid_alphabet_is_a_domain_error(build, message):
@@ -97,7 +98,7 @@ def test_the_identity_choices_match_the_verify_table():
 
 
 def test_an_interval_alphabet_holds_nothing_per_value(capsys):
-    # upto:K is two ints, not K pairs: the count reads values below 6 only.
+    # upto:K is one run, not K pairs: the count reads values below 6 only.
     tracemalloc.start()
     try:
         code = main(["count", "5", "--alphabet", "upto:1000000000"])

@@ -16,13 +16,12 @@ from compcount.hessenberg import (
     minor_sum,
     minor_sum_subsets,
     parse_matrix,
-    principal_minor,
 )
 from compcount.recurrence import count_compositions
 from compcount.verify import BATTERY
 from compcount.weakforms import count_weak_unrestricted_closed
 
-from paper_refs import fibonacci, minor_product_formula, sequence_prefix
+from paper_refs import fibonacci, minor_product_formula, principal_minor, sequence_prefix
 from strategies import bands
 
 

@@ -11,7 +11,7 @@ from compcount.recurrence import count_compositions, extend_series, series_term
 from compcount.verify import BATTERY
 
 from paper_refs import fibonacci, kstep_fibonacci, sequence_prefix
-from strategies import alphabets
+from strategies import alphabets, margins, run_form_margin
 
 
 @pytest.mark.parametrize(
@@ -25,10 +25,19 @@ from strategies import alphabets
         (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3, 0))),
         (PartAlphabet.of(10**12), 4, ((1,), (1, 0, 0, 0))),
         (PartAlphabet.upto(3), 9, ((1,), (1, -1, -1, -1))),
-        (PartAlphabet.upto(10**9), 4, ((1,), (1, -1, -1, -1))),
+        (PartAlphabet.upto(10**9), 4, ((1, -1), (1, -2, 0, 0))),
         (PartAlphabet.of(2, 3, 4), 9, ((1,), (1, 0, -1, -1, -1))),
         (PartAlphabet.of(2, 3, 4), 3, ((1,), (1, 0, -1))),
-        (PartAlphabet(interval=(5, 10**12)), 4, ((1,), (1, 0, 0, 0))),
+        (PartAlphabet(((5, 10**12, 1),)), 4, ((1, -1), (1, -1, 0, 0))),
+        # The same series as all's ((1, -1), (1, -2)), cut one term past x^n.
+        (PartAlphabet.upto(2000), 2001, ((1, -1), (1, -2) + (0,) * 1999)),
+        # A wide colored run: five nonzero terms, whatever its width.
+        (PartAlphabet.of(*((v, 3) for v in range(1, 5001))), 6000,
+         ((1, -1), (1, -4) + (0,) * 4999 + (3,))),
+        # Either side of the margin: 24 dense terms against 5 run terms
+        # stays dense, 25 against 5 takes the run form.
+        (PartAlphabet.upto(22), 30, ((1,), (1,) + (-1,) * 22)),
+        (PartAlphabet.upto(23), 30, ((1, -1), (1, -2) + (0,) * 22 + (1,))),
     ],
 )
 def test_generating_function_transcribes_the_alphabet(alphabet, length, expected):
@@ -41,13 +50,14 @@ def test_extend_series_expands_the_fibonacci_series():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(alphabets(max_multiplicity=1), st.integers(1, 4).map(PartAlphabet.at_least)))
-def test_generating_function_series_matches_brute(alphabet):
+@given(st.one_of(alphabets(max_multiplicity=1), st.integers(1, 4).map(PartAlphabet.at_least)),
+       margins)
+def test_generating_function_series_matches_brute(alphabet, margin):
     # One color per value keeps the brute stream at n = 12 within 2^11
     # compositions; colored alphabets meet the brute oracle at n <= 9 below.
-    assert extend_series(*alphabet.generating_function(13), 13) == [
-        count_compositions_brute(n, alphabet) for n in range(13)
-    ]
+    with run_form_margin(margin):
+        series = extend_series(*alphabet.generating_function(13), 13)
+    assert series == [count_compositions_brute(n, alphabet) for n in range(13)]
 
 
 @pytest.mark.parametrize(
@@ -121,14 +131,26 @@ def test_unbounded_alphabet_matches_explicit_expansion():
     for k in (1, 2, 3):
         unbounded = PartAlphabet.at_least(k)
         for n in range(k, 15):
-            explicit = PartAlphabet(parts=tuple((v, 1) for v in range(k, n + 1)))
+            explicit = PartAlphabet.of(*range(k, n + 1))
             assert count_compositions(n, unbounded) == count_compositions(n, explicit)
 
 
 @settings(max_examples=60, deadline=None)
-@given(alphabets(), st.integers(0, 9))
-def test_recurrence_agrees_with_brute_on_random_alphabets(alphabet, n):
-    assert count_compositions(n, alphabet) == count_compositions_brute(n, alphabet)
+@given(alphabets(), st.integers(0, 9), margins)
+def test_recurrence_agrees_with_brute_on_random_alphabets(alphabet, n, margin):
+    with run_form_margin(margin):
+        count = count_compositions(n, alphabet)
+    assert count == count_compositions_brute(n, alphabet)
+
+
+def test_a_wide_colored_run_matches_brute():
+    # 1x3,...,60x3 takes the run form at the module's margin, so the -4x
+    # of (1 - x) - 3(x - x^61) is checked against the oracle directly.
+    alphabet = PartAlphabet.of(*((v, 3) for v in range(1, 61)))
+    assert alphabet.generating_function(11)[0] == (1, -1)
+    assert [count_compositions(n, alphabet) for n in range(11)] == [
+        count_compositions_brute(n, alphabet) for n in range(11)
+    ]
 
 
 @settings(max_examples=20, deadline=None)
