@@ -22,9 +22,12 @@ with no zeros) and more for weak_brute_table(n, k), which visits every
 sequence with sum <= n and at most k zeros; its table cache is cleared
 before every run. startup: whole `python` processes, alternated round by
 round so that a drift of the machine's load falls on all of them alike: a
-bare interpreter, `import argparse`, `import compcount.cli` and
-`-m compcount count 5`; the gap between the first and the last is the
-package's own start-up, and the gap between the last two is the count.
+bare interpreter, `import compcount.cli`, `-m compcount count 5` and
+`-m compcount weak 500 5 --alphabet upto:3`; the gap between the first
+two is the package's own start-up, and the gaps after it are the
+requests. The children see this script's environment less
+PYTHONDONTWRITEBYTECODE, so the untimed first run fills the bytecode cache
+and no timed run compiles a module that was just edited.
 
 One line per kernel point: the median seconds of 5 timed runs, the
 tracemalloc peak of one more run, and the bit length of the computed value
@@ -96,9 +99,10 @@ KERNELS = {
 STARTUP_RUNS = 21
 STARTUP = (
     ("pass", ("-c", "pass")),
-    ("import argparse", ("-c", "import argparse")),
     ("import compcount.cli", ("-c", "import compcount.cli")),
     ("count 5", ("-m", "compcount", "count", "5")),
+    ("weak 500 5 --alphabet upto:3", ("-m", "compcount", "weak", "500", "5", "--alphabet",
+                                      "upto:3")),
 )
 
 
@@ -123,6 +127,7 @@ def measure_startup() -> dict[str, float]:
     that imports this script's compcount, the commands taking turns."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(compcount.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     seconds = {name: [] for name, _ in STARTUP}
     for timed in [False] + [True] * STARTUP_RUNS:
         for name, args in STARTUP:

@@ -1,11 +1,10 @@
-"""Brute-force ground truth: stream every composition, and count weak ones
-by one walk over every sequence of a grid.
+"""Brute-force ground truth: count weak compositions by one walk over
+every sequence of a grid.
 
 Everything in this module trades speed for trust. It is the oracle the
 faster routes are validated against, so nothing here may use a recurrence,
-determinant, convolution, or closed form. ``enumerate_compositions``
-streams each colored composition as a tuple of ``(value, color)`` pairs.
-Counts come from ``weak_brute_table``: one walk visits every sequence of
+determinant, convolution, or closed form. Counts come from
+``weak_brute_table``: one walk visits every sequence of
 zeros and alphabet values with sum at most max_n and at most max_k zeros,
 once each, and tallies it, weighted by its parts' color counts, into the
 cell for its own sum and zero count, so one walk answers a whole (n, k)
@@ -14,11 +13,8 @@ variable, else 25); exceeding the guard raises instead of truncating,
 because an oracle must never return a wrong count.
 """
 
-import itertools
-import math
 import os
 import sys
-from collections import Counter
 from functools import lru_cache
 
 from .alphabet import PartAlphabet
@@ -43,42 +39,8 @@ def _check_guard(label: str, value: int):
         raise GuardExceeded(f"{label}={value} exceeds the enumeration guard {limit}")
 
 
-def _value_sequences(n: int, alphabet: PartAlphabet):
-    # Ascending first part, then recurse: yields value tuples in
-    # lexicographic order (all sequences sum to n, so none is a prefix
-    # of another).
-    if n == 0:
-        yield ()
-        return
-    for value, _ in alphabet.parts_within(n):
-        for tail in _value_sequences(n - value, alphabet):
-            yield (value, *tail)
-
-
-def enumerate_compositions(n: int, alphabet: PartAlphabet):
-    """Stream every colored composition of ``n`` over ``alphabet``.
-
-    Each composition is a tuple of ``(value, color)`` pairs, colors
-    counted from 1. Order is lexicographic by value sequence, then by color
-    sequence. ``n = 0`` yields exactly the empty composition ``()``.
-    """
-    if n < 0:
-        raise DomainError(f"target must be >= 0, got {n}")
-    _check_guard("n", n)
-    return _colored_stream(n, alphabet)
-
-
-def _colored_stream(n, alphabet):
-    color_count = dict(alphabet.parts_within(n))
-    for values in _value_sequences(n, alphabet):
-        color_ranges = [range(1, color_count[v] + 1) for v in values]
-        for colors in itertools.product(*color_ranges):
-            yield tuple(zip(values, colors))
-
-
 def count_compositions_brute(n: int, alphabet: PartAlphabet) -> int:
-    """Colored compositions of ``n``: the weak count with no zeros, the
-    same number as the length of the enumerate_compositions stream."""
+    """Colored compositions of ``n``: the weak count with no zeros."""
     return count_weak_brute(n, 0, alphabet)
 
 
@@ -171,14 +133,3 @@ def _weak_table(max_n, max_k, alphabet):
         rows[max_n - r] = tuple(reversed(row))
     zero = (0,) * (max_k + 1)  # shared by every sum no sequence reaches
     return tuple(rows.get(n, zero) for n in range(max_n + 1))
-
-
-def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet) -> int:
-    """Semi-independent check: a weak composition with k zeros is a
-    zero-free composition with p parts plus a multiset choice of the k
-    zero slots among the p+1 gaps, i.e. sum_p c_p * C(p+k, k)."""
-    if k < 0:
-        raise DomainError(f"zero count must be >= 0, got {k}")
-    _check_guard("k", k)
-    lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
-    return sum(count * math.comb(p + k, k) for p, count in lengths.items())

@@ -200,13 +200,19 @@ def minor_sum(matrix: HessMatrix, order: int) -> int:
     return _charpoly_columns(matrix, n - order, order)[-1]
 
 
-def format_matrix(rows) -> str:
-    """Plain text grid: rows newline-separated, entries space-separated."""
-    return "\n".join(" ".join(str(entry) for entry in row) for row in rows)
+def grid_lines(matrix: HessMatrix):
+    """The dense grid as text, one row at a time, entries space-separated,
+    each row built from the band in O(n): row i is i - 2 zeros, then -1,
+    then the first n - i + 1 band values."""
+    band = [str(v) for v in matrix.band]
+    n = len(band)
+    yield " ".join(band)
+    for i in range(2, n + 1):
+        yield " ".join(["0"] * (i - 2) + ["-1"] + band[: n - i + 1])
 
 
 def parse_matrix(text: str) -> list[list[int]]:
-    """Inverse of format_matrix; rejects ragged grids."""
+    """Read the grid printed by grid_lines; rejects ragged grids."""
     rows = [[int(tok) for tok in line.split()] for line in text.strip().splitlines()]
     if not rows:
         raise DomainError("empty matrix text")

@@ -1,10 +1,17 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
-prefix of counts, and principal minors of the counting matrix, by
-elimination and as products of counts."""
+prefix of counts, principal minors of the counting matrix, by elimination
+and as products of counts, and a stream of every colored composition,
+with the weak counts it gives by inserting zeros, that checks the brute
+walk."""
+
+import itertools
+import math
+from collections import Counter
 
 from compcount.alphabet import PartAlphabet
+from compcount.enumeration import _check_guard
 from compcount.errors import DomainError
 from compcount.hessenberg import HessMatrix, det_bareiss
 from compcount.recurrence import extend_series
@@ -79,6 +86,11 @@ def _validate_deleted(deleted, n) -> tuple[int, ...]:
     return indices
 
 
+def format_matrix(rows) -> str:
+    """Plain text grid: rows newline-separated, entries space-separated."""
+    return "\n".join(" ".join(str(entry) for entry in row) for row in rows)
+
+
 def principal_minor(matrix: HessMatrix, deleted) -> int:
     """Determinant of the submatrix retaining the rows and columns not in
     ``deleted`` (1-indexed); deleting everything leaves minor 1."""
@@ -87,3 +99,47 @@ def principal_minor(matrix: HessMatrix, deleted) -> int:
     retained = [i for i in range(1, n + 1) if i not in indices]
     dense = [[matrix.entry(i, j) for j in retained] for i in retained]
     return det_bareiss(dense)
+
+
+def _value_sequences(n: int, alphabet: PartAlphabet):
+    # Ascending first part, then recurse: yields value tuples in
+    # lexicographic order (all sequences sum to n, so none is a prefix
+    # of another).
+    if n == 0:
+        yield ()
+        return
+    for value, _ in alphabet.parts_within(n):
+        for tail in _value_sequences(n - value, alphabet):
+            yield (value, *tail)
+
+
+def enumerate_compositions(n: int, alphabet: PartAlphabet):
+    """Stream every colored composition of ``n`` over ``alphabet``.
+
+    Each composition is a tuple of ``(value, color)`` pairs, colors
+    counted from 1. Order is lexicographic by value sequence, then by color
+    sequence. ``n = 0`` yields exactly the empty composition ``()``.
+    """
+    if n < 0:
+        raise DomainError(f"target must be >= 0, got {n}")
+    _check_guard("n", n)
+    return _colored_stream(n, alphabet)
+
+
+def _colored_stream(n, alphabet):
+    color_count = dict(alphabet.parts_within(n))
+    for values in _value_sequences(n, alphabet):
+        color_ranges = [range(1, color_count[v] + 1) for v in values]
+        for colors in itertools.product(*color_ranges):
+            yield tuple(zip(values, colors))
+
+
+def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet) -> int:
+    """Semi-independent check: a weak composition with k zeros is a
+    zero-free composition with p parts plus a multiset choice of the k
+    zero slots among the p+1 gaps, i.e. sum_p c_p * C(p+k, k)."""
+    if k < 0:
+        raise DomainError(f"zero count must be >= 0, got {k}")
+    _check_guard("k", k)
+    lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
+    return sum(count * math.comb(p + k, k) for p, count in lengths.items())

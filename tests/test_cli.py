@@ -16,6 +16,7 @@ from compcount.alphabet import PartAlphabet
 from compcount.cli import main, parse_alphabet
 from compcount.errors import CompCountError, DomainError
 
+from paper_refs import format_matrix
 from strategies import alphabets
 
 
@@ -144,6 +145,27 @@ def test_matrix_grid_output(capsys):
     code, out, _ = run_cli(capsys, "matrix", "3", "--alphabet", "all")
     assert code == 0
     assert out == "1 1 1\n-1 1 1\n0 -1 1\n"
+
+
+def test_the_grid_printed_row_by_row_is_the_dense_grid(capsys):
+    for label, alphabet in verify.BATTERY:
+        for n in range(1, 13):
+            code, out, _ = run_cli(capsys, "matrix", str(n), "--alphabet", label)
+            dense = hessenberg.build_matrix(alphabet, n).to_dense()
+            assert (code, out) == (0, format_matrix(dense) + "\n"), (label, n)
+
+
+def test_the_grid_is_printed_in_memory_linear_in_its_order():
+    # The dense order-1500 grid and its joined text peak at about 27 MB.
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["matrix", "1500"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("method", ["recurrence", "det", "brute"])
@@ -307,9 +329,57 @@ def test_the_guard_is_no_function_argument():
 
 
 def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["count", "5", "--method", "nonsense"])
-    assert excinfo.value.code == 2
+    assert main(["count", "5", "--method", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("argv,token", [
+    (("frobnicate", "5"), "frobnicate"),  # unknown command
+    (("count", "5", "--alph", "upto:3"), "--alph"),  # unknown option; no prefix abbreviations
+    (("count", "5", "--alphabet"), "--alphabet"),  # missing value
+    (("table", "--alphabet", "--bfile", "--n-max", "3"), "--alphabet"),  # an option is no value
+    (("verify", "--max-n", "x"), "'x'"),  # bad int
+    (("weak", "5", "1.5"), "'1.5'"),  # bad positional int
+    (("count", "5", "--method=nonsense"), "nonsense"),  # bad choice
+    (("weak", "5"), "'5'"),  # wrong positional count
+    (("verify", "7"), "'7'"),
+    (("matrix", "3", "--det", "--charpoly"), "--charpoly"),  # mode clash
+    (("table", "--k", "2"), "--n-max"),  # missing required option
+    (("verify", "--json=1"), "--json=1"),  # a flag takes no value
+], ids=["command", "option", "value", "option-as-value", "int", "positional-int", "choice",
+        "too-few", "too-many", "clash", "required", "flag-value"])
+def test_each_usage_error_exits_two_and_names_its_token(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert token in err and "usage: compcount" in err
+
+
+def test_help_prints_the_usage_of_every_command_and_no_argv_is_a_usage_error(capsys):
+    for argv in (["--help"], ["count", "--help"], ["-h"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert all(f"usage: compcount {name}" in out for name in cli.COMMANDS)
+        assert "Alphabet mini-grammar" in out
+    code, out, err = run_cli(capsys)
+    assert (code, out) == (2, "")
+    assert "no command" in err
+
+
+@pytest.mark.parametrize("joined,split", [
+    (("weak", "50", "5", "--alphabet=upto:3"), ("weak", "50", "5", "--alphabet", "upto:3")),
+    (("table", "--n-max=9", "--k=1"), ("table", "--n-max", "9", "--k", "1")),
+])
+def test_an_option_value_may_follow_an_equals_sign(capsys, joined, split):
+    result = run_cli(capsys, *joined)
+    assert result == run_cli(capsys, *split)
+    assert result[0] == 0 and result[1]
+
+
+def test_positionals_and_options_mix_in_any_order(capsys):
+    expected = run_cli(capsys, "weak", "9", "2", "--alphabet", "upto:3", "--method", "minors")
+    assert run_cli(capsys, "weak", "--method", "conv", "9", "--alphabet", "upto:3", "2",
+                   "--method", "minors") == expected
+    assert run_cli(capsys, "weak", "--alphabet", "upto:3", "--method", "minors", "9",
+                   "2") == expected
 
 
 def test_guard_env_override_allows_larger_brute(capsys, monkeypatch):
@@ -389,8 +459,8 @@ _ARGV = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_ARGV, st.sampled_from([None, "abc", "", "-1", "0", "3", "25", " 7 ", "1e3"]))
 def test_exit_code_contract_on_random_argv(argv, guard):
-    """Exit codes stay in 0..4, 1 only from verify, and nothing but
-    argparse's SystemExit escapes main()."""
+    """Exit codes stay in 0..4, 1 only from verify, and nothing escapes
+    main(), usage errors included."""
     with pytest.MonkeyPatch.context() as patch:
         if guard is None:
             patch.delenv("COMPCOUNT_GUARD", raising=False)
@@ -398,11 +468,7 @@ def test_exit_code_contract_on_random_argv(argv, guard):
             patch.setenv("COMPCOUNT_GUARD", guard)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code == 2, argv
-                return
+            code = main(argv)
     assert code in range(5), argv
     assert code != 1 or argv[0] == "verify", argv
 

@@ -5,16 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
 from compcount import enumeration
-from compcount.enumeration import (
-    count_compositions_brute,
-    count_weak_brute,
-    count_weak_insertion,
-    enumerate_compositions,
-    weak_brute_table,
-)
+from compcount.enumeration import count_compositions_brute, count_weak_brute, weak_brute_table
 from compcount.errors import DomainError, GuardExceeded
 from compcount.verify import BATTERY
 
+from paper_refs import count_weak_insertion, enumerate_compositions
 from strategies import alphabets
 
 

@@ -12,7 +12,6 @@ from compcount.hessenberg import (
     charpoly,
     det_bareiss,
     det_hessenberg,
-    format_matrix,
     minor_sum,
     minor_sum_subsets,
     parse_matrix,
@@ -21,7 +20,13 @@ from compcount.recurrence import count_compositions
 from compcount.verify import BATTERY
 from compcount.weakforms import count_weak_unrestricted_closed
 
-from paper_refs import fibonacci, minor_product_formula, principal_minor, sequence_prefix
+from paper_refs import (
+    fibonacci,
+    format_matrix,
+    minor_product_formula,
+    principal_minor,
+    sequence_prefix,
+)
 from strategies import bands
 
 
