@@ -12,7 +12,10 @@ Hessenberg charpoly table, n + 1 cells of one addition per nonzero head
 lag plus one for the band's constant tail (a running sum), so O(n)
 additions for an unbounded alphabet. charpoly: the whole table, O(n^2)
 such cells. minors: the weak count with six zeros as the sum of order-n
-minors of the order-(n+6) matrix, a table cut to (n+1) * 7 cells. conv:
+minors of the order-(n+6) matrix, a table cut to (n+1) * 7 cells.
+subsets: the sum of the order-r principal minors of the order-n matrix by
+every index subset, C(n, r) Bareiss determinants of order r read from one
+dense grid, which `matrix --minorsum` runs under its subset guard. conv:
 weak counts with two zeros as the series of N^3 / D^3, O(n * r) for r
 nonzero lags of D^3, on `all` and on the wide intervals `upto:50` and
 `upto:2000`.
@@ -33,9 +36,10 @@ One line per kernel point: the median seconds of 5 timed runs, the
 tracemalloc peak of one more run, and the bit length of the computed value
 (the last term of a series, the constant coefficient of a charpoly, the
 grid's corner cell of a brute table) as a sanity check: c(10^6) on
-`upto:3` has 879146 bits. One line per start-up command: the median
-seconds of STARTUP_RUNS runs, after one untimed run of each that fills the
-bytecode cache.
+`upto:3` has 879146 bits, and every det and charpoly point on `all` at
+order n has n bits, since its value is +-2^(n-1). One line per start-up
+command: the median seconds of STARTUP_RUNS runs, after one untimed run of
+each that fills the bytecode cache.
 
 `--margin M` sets alphabet.RUN_FORM_MARGIN for the kernel suites: run the
 recurrence suite at the default and at `--margin 1`, where every `upto:K`
@@ -58,7 +62,7 @@ import compcount
 from compcount import alphabet as alphabet_module, enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
-from compcount.hessenberg import build_matrix, charpoly, det_hessenberg
+from compcount.hessenberg import build_matrix, charpoly, det_hessenberg, minor_sum_subsets
 from compcount.recurrence import count_compositions, extend_series
 from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
 
@@ -72,6 +76,7 @@ POINTS = {
     "det": (("all", 10000), ("all", 20000), ("all", 40000)),
     "charpoly": (("all", 250), ("all", 500), ("all", 1000)),
     "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
+    "subsets": (("all", (13, 6)), ("all", (15, 7))),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000)),
     "brute": (("all", 16), ("all", 18), ("all", 20), ("all", (10, 3)), ("all", (11, 3)),
@@ -92,6 +97,7 @@ KERNELS = {
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),
+    "subsets": lambda size, a: minor_sum_subsets(build_matrix(a, size[0]), size[1]),
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
     "brute": _brute,
 }
@@ -156,7 +162,8 @@ def main(argv=None) -> int:
     for suite in suites:
         for spec, size in POINTS[suite]:
             seconds, peak, value = measure(KERNELS[suite], size, parse_alphabet(spec))
-            point = f"n={size}" if isinstance(size, int) else "n={} k={}".format(*size)
+            point = f"n={size}" if isinstance(size, int) else "n={} {}={}".format(
+                size[0], "r" if suite == "subsets" else "k", size[1])
             print(f"suite={suite} alphabet={spec} {point} median_s={seconds:.4f}"
                   f" peak_mb={peak / 2**20:.2f} bits={value.bit_length()}", flush=True)
     return 0

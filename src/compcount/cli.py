@@ -73,7 +73,7 @@ def cmd_count(args) -> int:
         value = count_compositions(args["n"], alphabet)
     elif args["method"] == "det":
         from .hessenberg import build_matrix, det_hessenberg
-        value = 1 if args["n"] == 0 else det_hessenberg(build_matrix(alphabet, args["n"]))
+        value = det_hessenberg(build_matrix(alphabet, args["n"]))
     else:
         from .enumeration import count_compositions_brute
         value = count_compositions_brute(args["n"], alphabet)
@@ -118,15 +118,17 @@ def cmd_matrix(args) -> int:
     alphabet = parse_alphabet(args["alphabet"])
     if args["minorsum"] is not None:
         check_minor_subsets(args["n"], args["minorsum"])
-    matrix = build_matrix(alphabet, args["n"])
+    if args["n"] < 1:  # order 0 is a valid band, but no grid to print
+        raise DomainError(f"matrix order must be >= 1, got {args['n']}")
+    band = build_matrix(alphabet, args["n"])
     if args["det"]:
-        print(det_hessenberg(matrix))
+        print(det_hessenberg(band))
     elif args["charpoly"]:
-        print(" ".join(map(str, charpoly(matrix))))
+        print(" ".join(map(str, charpoly(band))))
     elif args["minorsum"] is not None:
-        print(minor_sum_subsets(matrix, args["minorsum"]))
+        print(minor_sum_subsets(band, args["minorsum"]))
     else:
-        for line in grid_lines(matrix):
+        for line in grid_lines(band):
             print(line)
     return EXIT_OK
 

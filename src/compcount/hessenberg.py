@@ -2,11 +2,13 @@
 
 The matrices handled here have first row v_1..v_n repeated along the
 diagonals (entry(i, j) = v_{j-i+1} for j >= i), a constant -1 on the
-subdiagonal, and zeros below. Expanding chi_j = det(xI - M_j) of the
-leading order-j block across its last column gives chi_j = x chi_{j-1} +
-sum_d (-1)^d v_d chi_{j-d}, so the signed coefficients
-c_i(j) = (-1)^(j-i) [x^i] chi_j, each the sum of all order-(j-i)
-principal minors of M_j, obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d).
+subdiagonal, and zeros below. So that band is the whole matrix: the
+functions here take the band tuple, and the empty band is the order-0
+matrix, of determinant 1. Expanding chi_j = det(xI - M_j) of the leading
+order-j block across its last column gives chi_j = x chi_{j-1} + sum_d
+(-1)^d v_d chi_{j-d}, so the signed coefficients c_i(j) = (-1)^(j-i)
+[x^i] chi_j, each the sum of all order-(j-i) principal minors of M_j,
+obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d).
 One kernel fills that table column by column, and the determinant
 c_0(n), the characteristic polynomial and the sums of principal minors
 of a fixed order r, c_{n-r}(n), are all read from it. A cell costs one
@@ -32,51 +34,28 @@ from .errors import DomainError, GuardExceeded
 SUBSET_GUARD = 22
 
 
-class HessMatrix:
-    """Band storage: first-row values only. Order n is the band length."""
-
-    __slots__ = ("band",)
-
-    def __init__(self, band: tuple[int, ...]):
-        if not band:
-            raise DomainError("matrix order must be >= 1")
-        self.band = band
-
-    @property
-    def order(self) -> int:
-        return len(self.band)
-
-    def entry(self, i: int, j: int) -> int:
-        """1-indexed entry: band value on and above the diagonal, -1 on the
-        subdiagonal, 0 below."""
-        n = self.order
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise DomainError(f"entry ({i}, {j}) outside order-{n} matrix")
-        if j >= i:
-            return self.band[j - i]
-        if j == i - 1:
-            return -1
-        return 0
-
-    def to_dense(self) -> list[list[int]]:
-        n = self.order
-        return [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-
-def build_matrix(alphabet: PartAlphabet, n: int) -> HessMatrix:
-    """Order-n matrix whose band carries the alphabet's color multiplicities
-    (value d on diagonal offset d-1); its determinant counts compositions
+def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
+    """Band of the order-n matrix (n >= 0) for the alphabet: its color
+    multiplicities, value d at lag d; its determinant counts compositions
     of n."""
-    if n < 1:
-        raise DomainError(f"matrix order must be >= 1, got {n}")
+    if n < 0:
+        raise DomainError(f"matrix order must be >= 0, got {n}")
     band = [0] * n
     for value, colors in alphabet.parts_within(n):
         band[value - 1] = colors
-    return HessMatrix(tuple(band))
+    return tuple(band)
 
 
-def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
-    """Fill columns 0..``last`` of the charpoly table of ``matrix`` and
+def _dense(band: tuple[int, ...]) -> list[list[int]]:
+    """The order-n grid of ``band``. It is Toeplitz: row i, counted from 0,
+    is the window [n - i, 2n - i) of n - 1 zeros, then -1, then the band."""
+    n = len(band)
+    line = [0] * (n - 1) + [-1, *band]
+    return [line[n - i : 2 * n - i] for i in range(n)]
+
+
+def _charpoly_columns(band: tuple[int, ...], last: int, width: int) -> list[int]:
+    """Fill columns 0..``last`` of the charpoly table of ``band`` and
     return the last cell of each column. Column i holds, for j = i..min(i +
     width, n), c_i(j) = (-1)^(j-i) [x^i] det(xI - M_j): the sum of all
     order-(j-i) principal minors of the leading order-j block M_j.
@@ -93,9 +72,8 @@ def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
     at j-1, so cutting every column at j = i + width leaves the cells it
     keeps exact.
     """
-    n = matrix.order
-    band = matrix.band
-    first, _, tail = runs(enumerate(band, start=1))[-1]
+    n = len(band)
+    first, _, tail = runs(enumerate((0, *band)))[-1]  # lag 0 (v_0 = 0, never read) gives () a run
     start = first if tail else n + 1  # T, the first lag of the tail; past the band if v = 0
     lags = [(d, v) for d, v in enumerate(band[: start - 1], start=1) if v]
     ends = []
@@ -118,10 +96,10 @@ def _charpoly_columns(matrix: HessMatrix, last: int, width: int) -> list[int]:
     return ends
 
 
-def det_hessenberg(matrix: HessMatrix) -> int:
+def det_hessenberg(band: tuple[int, ...]) -> int:
     """Determinant c_0(n) from column 0 of the charpoly table: n + 1 cells,
     each one addition per nonzero head lag plus one for a constant tail."""
-    return _charpoly_columns(matrix, 0, matrix.order)[0]
+    return _charpoly_columns(band, 0, len(band))[0]
 
 
 def det_bareiss(rows) -> int:
@@ -164,19 +142,19 @@ def check_minor_subsets(n: int, order: int):
         raise GuardExceeded(f"matrix order {n} exceeds the subset guard {SUBSET_GUARD}")
 
 
-def minor_sum_subsets(matrix: HessMatrix, order: int) -> int:
+def minor_sum_subsets(band: tuple[int, ...], order: int) -> int:
     """Sum of all order-``order`` principal minors, by expanding every
-    index subset. Exponential; refused past matrix order SUBSET_GUARD."""
-    n = matrix.order
+    index subset of the dense grid. Exponential; refused past SUBSET_GUARD."""
+    n = len(band)
     check_minor_subsets(n, order)
-    dense = matrix.to_dense()
+    dense = _dense(band)
     return sum(
         det_bareiss([[dense[i][j] for j in kept] for i in kept])
         for kept in combinations(range(n), order)
     )
 
 
-def charpoly(matrix: HessMatrix) -> tuple[int, ...]:
+def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the characteristic polynomial det(xI - M), monic of
     degree n, ascending: the coefficient of x^i is (-1)^(n-i) c_i(n), read
     from the last row of the charpoly table.
@@ -184,31 +162,31 @@ def charpoly(matrix: HessMatrix) -> tuple[int, ...]:
     The coefficient of x^{n-r} equals (-1)^r times the sum of all order-r
     principal minors.
     """
-    n = matrix.order
-    ends = _charpoly_columns(matrix, n, n)
+    n = len(band)
+    ends = _charpoly_columns(band, n, n)
     return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
-def minor_sum(matrix: HessMatrix, order: int) -> int:
+def minor_sum(band: tuple[int, ...], order: int) -> int:
     """Sum of all order-``order`` principal minors, c_{n-r}(n) for
     r = ``order``, from the first n-r+1 columns of the charpoly table cut
     to r+1 cells each: (n-r+1) * (r+1) cells, each one addition per
     nonzero head lag plus one for a constant tail; unguarded."""
-    n = matrix.order
+    n = len(band)
     if not 0 <= order <= n:
         raise DomainError(f"minor order must be within 0..{n}, got {order}")
-    return _charpoly_columns(matrix, n - order, order)[-1]
+    return _charpoly_columns(band, n - order, order)[-1]
 
 
-def grid_lines(matrix: HessMatrix):
+def grid_lines(band: tuple[int, ...]):
     """The dense grid as text, one row at a time, entries space-separated,
     each row built from the band in O(n): row i is i - 2 zeros, then -1,
     then the first n - i + 1 band values."""
-    band = [str(v) for v in matrix.band]
-    n = len(band)
-    yield " ".join(band)
+    values = [str(v) for v in band]
+    n = len(values)
+    yield " ".join(values)
     for i in range(2, n + 1):
-        yield " ".join(["0"] * (i - 2) + ["-1"] + band[: n - i + 1])
+        yield " ".join(["0"] * (i - 2) + ["-1"] + values[: n - i + 1])
 
 
 def parse_matrix(text: str) -> list[list[int]]:

@@ -78,8 +78,6 @@ def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
     table (unguarded), so it shares no kernel with the series route."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
-    if n + k == 0:
-        return 1
     return minor_sum(build_matrix(alphabet, n + k), n)
 
 

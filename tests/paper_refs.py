@@ -1,10 +1,10 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
-prefix of counts, principal minors of the counting matrix, by elimination
-and as products of counts, and a stream of every colored composition,
-with the weak counts it gives by inserting zeros, that checks the brute
-walk."""
+prefix of counts, the counting matrix written out entry by entry from its
+band, its principal minors, by elimination and as products of counts, and
+a stream of every colored composition, with the weak counts it gives by
+inserting zeros, that checks the brute walk."""
 
 import itertools
 import math
@@ -13,7 +13,7 @@ from collections import Counter
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import _check_guard
 from compcount.errors import DomainError
-from compcount.hessenberg import HessMatrix, det_bareiss
+from compcount.hessenberg import det_bareiss
 from compcount.recurrence import extend_series
 
 
@@ -91,14 +91,34 @@ def format_matrix(rows) -> str:
     return "\n".join(" ".join(str(entry) for entry in row) for row in rows)
 
 
-def principal_minor(matrix: HessMatrix, deleted) -> int:
-    """Determinant of the submatrix retaining the rows and columns not in
-    ``deleted`` (1-indexed); deleting everything leaves minor 1."""
-    n = matrix.order
+def dense_matrix(band) -> list[list[int]]:
+    """The order-n matrix of the band v_1..v_n as rows: entry (i, j),
+    1-indexed, is v_{j-i+1} on and above the diagonal, -1 on the
+    subdiagonal and 0 below it."""
+    n = len(band)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if j >= i:
+                row.append(band[j - i])
+            elif j == i - 1:
+                row.append(-1)
+            else:
+                row.append(0)
+        rows.append(row)
+    return rows
+
+
+def principal_minor(band, deleted) -> int:
+    """Determinant of the submatrix of the matrix of ``band`` retaining the
+    rows and columns not in ``deleted`` (1-indexed); deleting everything
+    leaves minor 1."""
+    n = len(band)
     indices = set(_validate_deleted(deleted, n))
-    retained = [i for i in range(1, n + 1) if i not in indices]
-    dense = [[matrix.entry(i, j) for j in retained] for i in retained]
-    return det_bareiss(dense)
+    retained = [i for i in range(n) if i + 1 not in indices]
+    dense = dense_matrix(band)
+    return det_bareiss([[dense[i][j] for j in retained] for i in retained])
 
 
 def _value_sequences(n: int, alphabet: PartAlphabet):

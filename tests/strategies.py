@@ -66,10 +66,11 @@ def _tailed_bands(draw, max_order, max_abs):
 
 
 def bands(max_order=7, max_abs=9):
-    """Random integer bands for Hessenberg matrices: free entries, or a free
-    head followed by a constant run starting anywhere, like the band of an
-    unbounded alphabet."""
+    """Random integer bands for Hessenberg matrices: free entries, the empty
+    band (the order-0 matrix) among them, or a free head followed by a
+    constant run starting anywhere, like the band of an unbounded
+    alphabet."""
     free = st.lists(
-        st.integers(-max_abs, max_abs), min_size=1, max_size=max_order
+        st.integers(-max_abs, max_abs), min_size=0, max_size=max_order
     ).map(tuple)
     return st.one_of(free, _tailed_bands(max_order, max_abs))

@@ -16,7 +16,7 @@ from compcount.alphabet import PartAlphabet
 from compcount.cli import main, parse_alphabet
 from compcount.errors import CompCountError, DomainError
 
-from paper_refs import format_matrix
+from paper_refs import dense_matrix, format_matrix
 from strategies import alphabets
 
 
@@ -151,7 +151,7 @@ def test_the_grid_printed_row_by_row_is_the_dense_grid(capsys):
     for label, alphabet in verify.BATTERY:
         for n in range(1, 13):
             code, out, _ = run_cli(capsys, "matrix", str(n), "--alphabet", label)
-            dense = hessenberg.build_matrix(alphabet, n).to_dense()
+            dense = dense_matrix(hessenberg.build_matrix(alphabet, n))
             assert (code, out) == (0, format_matrix(dense) + "\n"), (label, n)
 
 

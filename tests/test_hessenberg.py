@@ -7,7 +7,6 @@ from compcount.alphabet import PartAlphabet
 from compcount import hessenberg
 from compcount.errors import DomainError, GuardExceeded
 from compcount.hessenberg import (
-    HessMatrix,
     build_matrix,
     charpoly,
     det_bareiss,
@@ -21,6 +20,7 @@ from compcount.verify import BATTERY
 from compcount.weakforms import count_weak_unrestricted_closed
 
 from paper_refs import (
+    dense_matrix,
     fibonacci,
     format_matrix,
     minor_product_formula,
@@ -57,23 +57,24 @@ def det_cofactor(rows):
     ],
 )
 def test_build_matrix_shape(alphabet, n, expected):
-    assert build_matrix(alphabet, n).to_dense() == expected
+    assert dense_matrix(build_matrix(alphabet, n)) == expected
 
 
 def test_matrix_entries_and_bounds():
     m = build_matrix(PartAlphabet.upto(2), 3)
-    assert m.order == 3
-    assert m.entry(2, 1) == -1
-    assert m.entry(3, 1) == 0
-    assert m.entry(1, 2) == 1
+    assert m == (1, 1, 0)
+    grid = hessenberg._dense(m)
+    assert grid[1][0] == -1
+    assert grid[2][0] == 0
+    assert grid[0][1] == 1
     with pytest.raises(DomainError):
-        m.entry(0, 1)
-    with pytest.raises(DomainError):
-        m.entry(1, 4)
-    with pytest.raises(DomainError):
-        build_matrix(PartAlphabet.upto(2), 0)
-    with pytest.raises(DomainError):
-        HessMatrix(())
+        build_matrix(PartAlphabet.upto(2), -1)
+    # The empty band is the order-0 matrix: the empty composition's count.
+    assert build_matrix(PartAlphabet.upto(2), 0) == ()
+    assert det_hessenberg(()) == 1
+    assert charpoly(()) == (1,)
+    assert minor_sum((), 0) == 1
+    assert minor_sum_subsets((), 0) == 1
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,7 @@ def test_matrix_entries_and_bounds():
     [
         (build_matrix(PartAlphabet.upto(3), 3), 4),
         (build_matrix(PartAlphabet.upto(2), 5), 8),
-        (HessMatrix((7,)), 7),
+        ((7,), 7),
     ],
 )
 def test_det_hessenberg_values(matrix, expected):
@@ -124,8 +125,7 @@ def test_det_bareiss_matches_cofactor_oracle(rows):
 @settings(max_examples=60, deadline=None)
 @given(bands())
 def test_det_hessenberg_matches_bareiss_on_any_band(band):
-    matrix = HessMatrix(band)
-    assert det_hessenberg(matrix) == det_bareiss(matrix.to_dense())
+    assert det_hessenberg(band) == det_bareiss(dense_matrix(band))
 
 
 def test_det_hessenberg_of_constant_tails_at_large_order():
@@ -137,7 +137,7 @@ def test_det_hessenberg_matches_bareiss_across_battery():
     for _, alphabet in BATTERY:
         for n in range(1, 13):
             matrix = build_matrix(alphabet, n)
-            assert det_hessenberg(matrix) == det_bareiss(matrix.to_dense())
+            assert det_hessenberg(matrix) == det_bareiss(dense_matrix(matrix))
 
 
 def test_principal_minor_values():
@@ -233,7 +233,7 @@ def test_battery_minors_are_nonnegative():
     "matrix,expected",
     [
         (build_matrix(PartAlphabet.upto(2), 2), (2, -2, 1)),
-        (HessMatrix((1,)), (-1, 1)),
+        ((1,), (-1, 1)),
         (build_matrix(PartAlphabet.upto(3), 3), (-4, 5, -3, 1)),
     ],
 )
@@ -262,13 +262,12 @@ def test_charpoly_coefficients_are_signed_minor_sums():
 @settings(max_examples=40, deadline=None)
 @given(bands(max_order=5))
 def test_charpoly_coefficients_on_random_bands(band):
-    matrix = HessMatrix(band)
-    n = matrix.order
-    poly = charpoly(matrix)
+    n = len(band)
+    poly = charpoly(band)
     for r in range(n + 1):
         sign = 1 if r % 2 == 0 else -1
-        assert poly[n - r] == sign * minor_sum_subsets(matrix, r)
-        assert minor_sum(matrix, r) == minor_sum_subsets(matrix, r)
+        assert poly[n - r] == sign * minor_sum_subsets(band, r)
+        assert minor_sum(band, r) == minor_sum_subsets(band, r)
 
 
 def test_charpoly_of_all_parts_matches_unrestricted_closed_form():
@@ -281,9 +280,9 @@ def test_charpoly_of_all_parts_matches_unrestricted_closed_form():
 
 def test_matrix_text_format_round_trip():
     m = build_matrix(PartAlphabet.upto(3), 3)
-    text = format_matrix(m.to_dense())
+    text = format_matrix(dense_matrix(m))
     assert text == "1 1 1\n-1 1 1\n0 -1 1"
-    assert parse_matrix(text) == m.to_dense()
+    assert parse_matrix(text) == dense_matrix(m)
     assert format_matrix([[1]]) == "1"
 
 
