@@ -4,21 +4,23 @@
 recurrence: one count c(n) by Bostan-Mori halving, O(log n) polynomial
 products, each one Kronecker-packed big-int multiply; on `upto:3` up to
 n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, and on the wide
-denominator of `upto:1000`. series: the first n + 1 terms of N/D term by
-term (extend_series), O(n*r) for r nonzero lags of D, which `table` and
-the weak counts use; `upto:50` and `upto:2000` take the run form of their
-generating function, whose D has three nonzero terms. det: column 0 of the
-Hessenberg charpoly table, n + 1 cells of one addition per nonzero head
-lag plus one for the band's constant tail (a running sum), so O(n)
-additions for an unbounded alphabet. charpoly: the whole table, O(n^2)
-such cells. minors: the weak count with six zeros as the sum of order-n
-minors of the order-(n+6) matrix, a table cut to (n+1) * 7 cells.
+denominator of `upto:1000`. series: the first n + 1 terms of N/D, N's
+prefix divided by D in place (divide_series), O(n*r) for r nonzero lags of
+D, which `table` and the weak counts use; `upto:50` and `upto:2000` take
+the run form of their generating function, whose D has three nonzero
+terms. det: column 0 of the Hessenberg charpoly table, n + 1 cells of one
+addition per nonzero head lag plus one for the band's constant tail (a
+running sum), so O(n) additions for an unbounded alphabet. charpoly: the
+whole table, O(n^2) such cells. minors: the weak count with six zeros as
+the sum of order-n minors of the order-(n+6) matrix, a table cut to
+(n+1) * 7 cells.
 subsets: the sum of the order-r principal minors of the order-n matrix by
 every index subset, C(n, r) Bareiss determinants of order r read from one
 dense grid, which `matrix --minorsum` runs under its subset guard. conv:
-weak counts with two zeros as the series of N^3 / D^3, O(n * r) for r
-nonzero lags of D^3, on `all` and on the wide intervals `upto:50` and
-`upto:2000`.
+weak counts with two zeros as the series of N^3 / D^3, N^3 divided three
+times by D in place, O(n * r) for r nonzero lags of D, on `all`, on the
+wide intervals `upto:50` and `upto:2000` (run form), and on the dense
+bounded `upto:3`, `1x2,3`, `upto:13` and unbounded `atleast:5`.
 brute: the brute-force oracle, one tally per weak sequence in the grid,
 so 2^n tallies for count_compositions_brute(n) on `all` (the weak table
 with no zeros) and more for weak_brute_table(n, k), which visits every
@@ -63,7 +65,7 @@ from compcount import alphabet as alphabet_module, enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import build_matrix, charpoly, det_hessenberg, minor_sum_subsets
-from compcount.recurrence import count_compositions, extend_series
+from compcount.recurrence import count_compositions, divide_series
 from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
 
 RUNS = 5
@@ -78,10 +80,18 @@ POINTS = {
     "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
     "subsets": (("all", (13, 6)), ("all", (15, 7))),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
-             ("upto:2000", 2000)),
+             ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
+             ("upto:13", 2000)),
     "brute": (("all", 16), ("all", 18), ("all", 20), ("all", (10, 3)), ("all", (11, 3)),
               ("all", (12, 3))),
 }
+
+
+def _series(n, alphabet):
+    num, den = alphabet.generating_function(n + 1)
+    terms = [*num] + [0] * (n + 1 - len(num))
+    divide_series(terms, den)
+    return terms[n]
 
 
 def _brute(size, alphabet):
@@ -93,7 +103,7 @@ def _brute(size, alphabet):
 
 KERNELS = {
     "recurrence": lambda n, a: count_compositions(n, a),
-    "series": lambda n, a: extend_series(*a.generating_function(n + 1), n + 1)[n],
+    "series": _series,
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),

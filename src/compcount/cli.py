@@ -116,10 +116,10 @@ def cmd_matrix(args) -> int:
     )
 
     alphabet = parse_alphabet(args["alphabet"])
-    if args["minorsum"] is not None:
-        check_minor_subsets(args["n"], args["minorsum"])
     if args["n"] < 1:  # order 0 is a valid band, but no grid to print
         raise DomainError(f"matrix order must be >= 1, got {args['n']}")
+    if args["minorsum"] is not None:
+        check_minor_subsets(args["n"], args["minorsum"])
     band = build_matrix(alphabet, args["n"])
     if args["det"]:
         print(det_hessenberg(band))

@@ -46,12 +46,13 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
     return tuple(band)
 
 
-def _dense(band: tuple[int, ...]) -> list[list[int]]:
-    """The order-n grid of ``band``. It is Toeplitz: row i, counted from 0,
-    is the window [n - i, 2n - i) of n - 1 zeros, then -1, then the band."""
+def _rows(band, zero=0, minus_one=-1):
+    """The order-n grid of ``band``, row by row. It is Toeplitz: row i, from
+    0, is the window [n - i, 2n - i) of one line: n - 1 zeros, -1, the band."""
     n = len(band)
-    line = [0] * (n - 1) + [-1, *band]
-    return [line[n - i : 2 * n - i] for i in range(n)]
+    line = [zero] * (n - 1) + [minus_one, *band]
+    for i in range(n):
+        yield line[n - i : 2 * n - i]
 
 
 def _charpoly_columns(band: tuple[int, ...], last: int, width: int) -> list[int]:
@@ -147,7 +148,7 @@ def minor_sum_subsets(band: tuple[int, ...], order: int) -> int:
     index subset of the dense grid. Exponential; refused past SUBSET_GUARD."""
     n = len(band)
     check_minor_subsets(n, order)
-    dense = _dense(band)
+    dense = list(_rows(band))
     return sum(
         det_bareiss([[dense[i][j] for j in kept] for i in kept])
         for kept in combinations(range(n), order)
@@ -179,14 +180,9 @@ def minor_sum(band: tuple[int, ...], order: int) -> int:
 
 
 def grid_lines(band: tuple[int, ...]):
-    """The dense grid as text, one row at a time, entries space-separated,
-    each row built from the band in O(n): row i is i - 2 zeros, then -1,
-    then the first n - i + 1 band values."""
-    values = [str(v) for v in band]
-    n = len(values)
-    yield " ".join(values)
-    for i in range(2, n + 1):
-        yield " ".join(["0"] * (i - 2) + ["-1"] + values[: n - i + 1])
+    """The dense grid as text, one row at a time, entries space-separated."""
+    for row in _rows([str(v) for v in band], "0", "-1"):
+        yield " ".join(row)
 
 
 def parse_matrix(text: str) -> list[list[int]]:

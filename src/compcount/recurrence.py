@@ -3,11 +3,12 @@
 Every composition of n >= 1 ends in some allowed value m with one of its
 q colors, so c(n) = sum_i q_i * c(n - m_i) with c(0) = 1, and the counts
 are the series of the alphabet's N(x) / D(x). Two kernels read such a
-quotient: ``extend_series`` expands its first terms, for callers that need
-every one of them, and ``series_term`` finds the single coefficient [x^n]
-by Bostan-Mori halving, in O(log n) polynomial products and without the
-O(n^2) bits of a prefix. The sequence a_{m+1} = c(m) is also exactly the
-determinant sequence of the banded Hessenberg matrices built elsewhere.
+quotient: ``divide_series`` turns a prefix of N into the same prefix of
+N / D in place, for callers that need every term, and ``series_term``
+finds the single coefficient [x^n] by Bostan-Mori halving, in O(log n)
+polynomial products and without the O(n^2) bits of a prefix. The
+sequence a_{m+1} = c(m) is also exactly the determinant sequence of the
+banded Hessenberg matrices built elsewhere.
 
 Nothing is cached: every call computes from the generating function.
 """
@@ -16,22 +17,20 @@ from .alphabet import PartAlphabet
 from .errors import DomainError
 
 
-def extend_series(num, den, length: int) -> list[int]:
-    """The first ``length`` coefficients of num(x) / den(x), den[0] = 1:
-    t_m = num_m - sum_{i>=1} den_i * t_{m-i}. The sum starts from its first
-    term, not 0, and unit lags skip the multiply: either would copy a big
-    int per lag and triple the cost of the two-lag unbounded series."""
+def divide_series(terms: list[int], den) -> None:
+    """Replace the prefix ``terms`` of a series S, in place, with the same
+    prefix of S / den, den[0] = 1: t_m = s_m - sum_{i>=1} den_i * t_{m-i},
+    s_m read before it is overwritten. The sum starts from its first term,
+    not 0, and unit lags skip the multiply: either would copy a big int per
+    lag and triple the cost of the two-lag unbounded series."""
     lags = [(i, -d) for i, d in enumerate(den) if i and d]
-    terms = []
-    for m in range(length):
-        new = num[m] if m < len(num) else 0
+    for m, new in enumerate(terms):
         for i, q in lags:
             if i > m:
                 break
             t = terms[m - i] if q == 1 else q * terms[m - i]
             new = new + t if new else t
-        terms.append(new)
-    return terms
+        terms[m] = new
 
 
 def series_term(num, den, n: int) -> int:

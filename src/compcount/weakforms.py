@@ -3,13 +3,14 @@
 A weak composition of n with exactly k zeros is cut by its zeros into k+1
 (possibly empty) zero-free blocks, so its count is the (k+1)-fold
 convolution of the zero-free counts, i.e. [x^n] (N / D)^(k+1) for the
-alphabet's generating function N / D. The same number is the sum of all
-order-n principal minors of the order n+k recurrence matrix, read from
-that matrix's charpoly table: a second route that shares no kernel with
-the first. On top of these sit three explicit binomial formulas:
-unrestricted positive parts, positive parts in {1, 2}, and a shifted
-Fibonacci-block identity (``verify`` adjudicates its claimed
-weak-composition target against the brute oracle rather than assuming it).
+alphabet's generating function N / D: the short N^(k+1) divided k + 1
+times by D. The same number is the sum of all order-n principal minors
+of the order n+k recurrence matrix, read from that matrix's charpoly
+table: a second route that shares no kernel with the first. On top of
+these sit three explicit binomial formulas: unrestricted positive parts,
+positive parts in {1, 2}, and a shifted Fibonacci-block identity
+(``verify`` adjudicates its claimed weak-composition target against the
+brute oracle rather than assuming it).
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 from .alphabet import PartAlphabet
 from .errors import DomainError
 from .hessenberg import build_matrix, minor_sum
-from .recurrence import extend_series
+from .recurrence import divide_series
 
 
 def binomial(a: int, b: int) -> int:
@@ -36,34 +37,23 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def convolve_prefix(xs: list[int], ys: list[int], length: int) -> list[int]:
-    """First ``length`` coefficients of the product of two coefficient lists."""
-    out = [0] * length
-    for i, x in enumerate(xs[:length]):
-        if x:
-            for j, y in enumerate(ys[: length - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def power_prefix(seq, folds: int, length: int) -> list[int]:
-    """First ``length`` coefficients of (sum_j seq[j] x^j) ** folds, folds >= 1."""
-    base = list(seq[:length])
-    acc = base + [0] * (length - len(base))
-    for _ in range(folds - 1):
-        acc = convolve_prefix(acc, base, length)
-    return acc
-
-
 def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
     """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
-    the first n+1 coefficients of N^(k+1) / D^(k+1), both powers truncated
-    to n+1 terms. k = 0 gives the zero-free counts c(0..n)."""
+    the first n+1 coefficients of N^(k+1) / D^(k+1), in one list that is
+    multiplied by N k+1 times, then divided by D k+1 times, each O(n r) for
+    the r nonzero lags of D. k = 0 gives the zero-free counts c(0..n)."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     num, den = alphabet.generating_function(n + 1)
-    return extend_series(power_prefix(num, k + 1, n + 1), power_prefix(den, k + 1, n + 1), n + 1)
+    terms = [1] + [0] * n
+    for _ in range(k + 1):
+        # Times N, top down to read each term before it changes: N is (1,)
+        # or (1, -1), so N^(k+1) has at most k + 2 terms.
+        for j in range(min(k + 1, n), 0, -1):
+            terms[j] += sum(c * terms[j - i] for i, c in enumerate(num[1 : j + 1], 1))
+    for _ in range(k + 1):
+        divide_series(terms, den)
+    return terms
 
 
 def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:

@@ -1,10 +1,10 @@
 """Reference sequences and formulas from the paper that only the tests use:
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
-prefix of counts, the counting matrix written out entry by entry from its
-band, its principal minors, by elimination and as products of counts, and
-a stream of every colored composition, with the weak counts it gives by
-inserting zeros, that checks the brute walk."""
+prefix of counts by the recurrence itself, the counting matrix written out
+entry by entry from its band, its principal minors, by elimination and as
+products of counts, and a stream of every colored composition, with the
+weak counts it gives by inserting zeros, that checks the brute walk."""
 
 import itertools
 import math
@@ -14,7 +14,6 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import _check_guard
 from compcount.errors import DomainError
 from compcount.hessenberg import det_bareiss
-from compcount.recurrence import extend_series
 
 
 def fibonacci(i: int) -> int:
@@ -59,7 +58,10 @@ def sequence_prefix(alphabet: PartAlphabet, n: int) -> list[int]:
     """The first n+1 terms a_1..a_{n+1}; a_{m+1} counts compositions of m."""
     if n < 0:
         raise DomainError(f"prefix length must be >= 0, got {n}")
-    return extend_series(*alphabet.generating_function(n + 1), n + 1)
+    counts = [1]
+    for m in range(1, n + 1):  # c(m) = sum_v q_v c(m - v), no series kernel
+        counts.append(sum(q * counts[m - v] for v, q in alphabet.parts_within(m)))
+    return counts
 
 
 def minor_product_formula(alphabet: PartAlphabet, n: int, deleted) -> int:

@@ -481,7 +481,7 @@ def test_golden_cli_output(capsys, case):
     """stdout and exit code match those recorded before the routes they
     run were last changed (the counts, weak counts and tables moving onto
     the rational generating function; eq1 and thm12 moving onto the
-    series route)."""
+    series route; the weak series becoming k + 1 divisions by D)."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
 
@@ -515,3 +515,10 @@ def test_minor_subsets_past_the_guard_are_refused_before_the_matrix_is_built(cap
     assert code == 3
     assert "subset guard" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_matrix_order_below_one_is_refused_before_its_minor_order(capsys, n):
+    code, out, err = run_cli(capsys, "matrix", n, "--minorsum", "0")
+    assert (code, out) == (2, "")
+    assert f"matrix order must be >= 1, got {n}" in err

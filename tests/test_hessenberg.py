@@ -63,7 +63,7 @@ def test_build_matrix_shape(alphabet, n, expected):
 def test_matrix_entries_and_bounds():
     m = build_matrix(PartAlphabet.upto(2), 3)
     assert m == (1, 1, 0)
-    grid = hessenberg._dense(m)
+    grid = list(hessenberg._rows(m))
     assert grid[1][0] == -1
     assert grid[2][0] == 0
     assert grid[0][1] == 1

@@ -53,7 +53,7 @@ def _charpoly(alphabet):
 # route: (run on an alphabet, its kernel, which the trace must contain)
 ROUTES = {
     "series_term": (lambda a: count_compositions(9, a), "recurrence.series_term"),
-    "series": (lambda a: count_weak_convolution(6, 2, a), "recurrence.extend_series"),
+    "series": (lambda a: count_weak_convolution(6, 2, a), "recurrence.divide_series"),
     "charpoly": (_charpoly, "hessenberg._charpoly_columns"),
     "brute": (_brute, "enumeration._weak_table.<locals>.walk"),
     "unrestricted_closed": (lambda a: count_weak_unrestricted_closed(6, 2),
@@ -61,10 +61,10 @@ ROUTES = {
     "parts12_closed": (lambda a: count_weak_parts12_closed(6, 2),
                        "weakforms.count_weak_parts12_closed"),
     "fib_block_closed": (lambda a: fib_block_closed(6, 2), "weakforms.fib_block_closed"),
-    "fib_block_convolution": (lambda a: fib_block_convolution(6, 2), "recurrence.extend_series"),
+    "fib_block_convolution": (lambda a: fib_block_convolution(6, 2), "recurrence.divide_series"),
     # eq1 at (n, k) = (6, 2) reads both sides at (n - k, k)
     "fib_convolution": (lambda a: count_weak_convolution(4, 2, PartAlphabet.upto(2)),
-                        "recurrence.extend_series"),
+                        "recurrence.divide_series"),
     "fib_binomial": (lambda a: count_weak_parts12_closed(4, 2), "weakforms.binomial"),
 }
 

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
-from compcount.recurrence import count_compositions
-from compcount.weakforms import binomial, convolve_prefix
+from compcount.recurrence import count_compositions, divide_series
+from compcount.weakforms import binomial
 
 from paper_refs import convolution_power, fibonacci, kstep_fibonacci
 
@@ -90,9 +90,20 @@ def test_kstep_counts_bounded_compositions_recurrence(k):
         assert kstep_fibonacci(k, n + 1) == count_compositions(n, PartAlphabet.upto(k))
 
 
-def test_convolve_prefix_truncates():
-    assert convolve_prefix([1, 2, 3], [4, 5], 4) == [4, 13, 22, 15]
-    assert convolve_prefix([1, 2, 3], [4, 5], 2) == [4, 13]
+_coefficients = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+
+
+@given(st.lists(_coefficients, max_size=40), st.lists(_coefficients, max_size=12))
+def test_divide_series_divides_in_place(series, tail):
+    den = [1, *tail]
+    terms = list(series)
+    assert divide_series(terms, den) is None
+    # The quotient's prefix times den, cut to the same length, is S again.
+    assert [sum(d * terms[m - i] for i, d in enumerate(den[: m + 1]))
+            for m in range(len(terms))] == series
+    empty = []
+    divide_series(empty, den)
+    assert empty == []
 
 
 def test_convolution_power_single_fold_reads_off_sequence():

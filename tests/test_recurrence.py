@@ -7,7 +7,7 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
 from compcount import recurrence
-from compcount.recurrence import count_compositions, extend_series, series_term
+from compcount.recurrence import count_compositions, divide_series, series_term
 from compcount.verify import BATTERY
 
 from paper_refs import fibonacci, kstep_fibonacci, sequence_prefix
@@ -44,9 +44,11 @@ def test_generating_function_transcribes_the_alphabet(alphabet, length, expected
     assert alphabet.generating_function(length) == expected
 
 
-def test_extend_series_expands_the_fibonacci_series():
+def test_divide_series_expands_the_fibonacci_series():
     # 1 / (1 - x - x^2) is the Fibonacci series
-    assert extend_series((1,), (1, -1, -1), 7) == [1, 1, 2, 3, 5, 8, 13]
+    terms = [1, 0, 0, 0, 0, 0, 0]
+    divide_series(terms, (1, -1, -1))
+    assert terms == [1, 1, 2, 3, 5, 8, 13]
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,7 +58,9 @@ def test_generating_function_series_matches_brute(alphabet, margin):
     # One color per value keeps the brute stream at n = 12 within 2^11
     # compositions; colored alphabets meet the brute oracle at n <= 9 below.
     with run_form_margin(margin):
-        series = extend_series(*alphabet.generating_function(13), 13)
+        num, den = alphabet.generating_function(13)
+    series = [*num] + [0] * (13 - len(num))
+    divide_series(series, den)
     assert series == [count_compositions_brute(n, alphabet) for n in range(13)]
 
 
@@ -180,7 +184,9 @@ def _quotients(draw):
 @given(_quotients())
 def test_series_term_is_the_series_coefficient(quotient):
     num, den, n = quotient
-    assert series_term(num, den, n) == extend_series(num, den, n + 1)[n]
+    terms = [*num[: n + 1]] + [0] * (n + 1 - len(num))
+    divide_series(terms, den)
+    assert series_term(num, den, n) == terms[n]
 
 
 @pytest.mark.parametrize(

@@ -46,15 +46,17 @@ def test_count_weak_convolution_without_zeros_is_plain_count():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(alphabets(), st.integers(1, 4).map(PartAlphabet.at_least)),
+    st.one_of(alphabets(), st.integers(1, 4).map(PartAlphabet.at_least),
+              st.integers(1, 60).map(PartAlphabet.upto)),
     st.integers(0, 30),
-    st.integers(0, 5),
+    st.integers(0, 12),
+    margins,
 )
-def test_weak_counts_equal_folded_count_sequence(alphabet, n, k):
+def test_weak_counts_equal_folded_count_sequence(alphabet, n, k, margin):
     prefix = sequence_prefix(alphabet, n)
-    assert weak_counts(n, k, alphabet) == [
-        convolution_power(prefix, k + 1, j) for j in range(n + 1)
-    ]
+    with run_form_margin(margin):
+        counts = weak_counts(n, k, alphabet)
+    assert counts == [convolution_power(prefix, k + 1, j) for j in range(n + 1)]
 
 
 @pytest.mark.parametrize(
