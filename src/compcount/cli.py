@@ -134,16 +134,17 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .reports import to_json_dict, to_text
     from .verify import run_identity
 
     reports = run_identity(args["identity"], args["max-n"], args["max-k"])
     if args["json"]:
         import json
-        print(json.dumps({"reports": [r.to_json_dict() for r in reports]}, indent=2))
+        print(json.dumps({"reports": [to_json_dict(r) for r in reports]}, indent=2))
     else:
         for report in reports:
-            print(report.to_text())
-    disagreements = sum(len(r.disagreements()) for r in reports)
+            print(to_text(report))
+    disagreements = sum(not p.agree for r in reports for p in r.points)
     if disagreements:
         print(f"{disagreements} disagreeing grid point(s) found", file=sys.stderr)
         return EXIT_DISAGREEMENT

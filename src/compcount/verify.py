@@ -1,6 +1,6 @@
-"""Identity verification drivers: evaluate both sides of each counting
-identity over a small grid, against the brute-force oracle where the
-identity claims a count, and collect the results into reports.
+"""Identity verification drivers: evaluate both sides of each identity
+over a small grid, against the brute-force oracle where it claims a count;
+``_point`` fixes each point's verdict as it puts the point in a report.
 
 The fixed alphabet battery below is shared with the test suite; it mixes
 unbounded, bounded, and multi-colored alphabets so every code path sees
@@ -12,7 +12,7 @@ from functools import partial
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
-from .reports import GridPoint, VerificationReport
+from .reports import GridPoint, Report
 from .weakforms import (
     count_weak_convolution,
     count_weak_minor_sum,
@@ -33,7 +33,13 @@ BATTERY: tuple[tuple[str, PartAlphabet], ...] = (
 )
 
 
-def check_fib_convolution_identity(max_n: int) -> VerificationReport:
+def _point(n, k, lhs, rhs, oracle=None) -> GridPoint:
+    """A grid point that agrees exactly when every recorded value is equal."""
+    agree = lhs == rhs and (oracle is None or oracle == lhs)
+    return GridPoint(n, k, lhs, rhs, oracle, agree)
+
+
+def check_fib_convolution_identity(max_n: int) -> Report:
     """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n.
     F_{j+1} counts the compositions of j into parts {1, 2}, so the
     (k+1)-fold convolution at n - k is the weak count over {1, 2} at
@@ -41,11 +47,11 @@ def check_fib_convolution_identity(max_n: int) -> VerificationReport:
     k holds that count for every n of the grid."""
     columns = [weak_counts(max_n - k, k, PartAlphabet.upto(2)) for k in range(max_n + 1)]
     points = tuple(
-        GridPoint(n=n, k=k, lhs=columns[k][n - k], rhs=count_weak_parts12_closed(n - k, k))
+        _point(n=n, k=k, lhs=columns[k][n - k], rhs=count_weak_parts12_closed(n - k, k))
         for n in range(max_n + 1)
         for k in range(n + 1)
     )
-    return VerificationReport(
+    return Report(
         identity="eq1", points=points, lhs_label="fib_convolution", rhs_label="binomial_sum"
     )
 
@@ -55,16 +61,16 @@ def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, first_n=0, lhs_labe
     # An empty grid reads no brute count, so it meets no guard.
     brute = weak_brute_table(max_n, max_k, alphabet) if ns else ()
     points = tuple(
-        GridPoint(n=n, k=k, lhs=value_fn(n, k), rhs=brute[n][k])
+        _point(n=n, k=k, lhs=value_fn(n, k), rhs=brute[n][k])
         for n in ns
         for k in range(max_k + 1)
     )
-    return VerificationReport(
+    return Report(
         identity=identity, points=points, lhs_label=lhs_label, rhs_label="brute"
     )
 
 
-def _battery(identity, count_fn, max_n, max_k) -> list[VerificationReport]:
+def _battery(identity, count_fn, max_n, max_k) -> list[Report]:
     """``count_fn(n, k, alphabet)`` vs brute weak counts, per battery alphabet."""
     return [
         _oracle_grid(f"{identity}[{label}]", lambda n, k, a=alphabet: count_fn(n, k, a),
@@ -73,7 +79,7 @@ def _battery(identity, count_fn, max_n, max_k) -> list[VerificationReport]:
     ]
 
 
-def adjudicate_fib_block_identity(max_n: int, max_k: int) -> VerificationReport:
+def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     """Compare the closed form and the convolution against the brute count
     of weak compositions of n+k-1 with k zeros and parts >= 2 — the target
     the identity is labelled with — over 1 <= n <= max_n, 0 <= k <= max_k.
@@ -92,7 +98,7 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> VerificationReport:
     for n in range(1, max_n + 1):
         for k in range(max_k + 1):
             points.append(
-                GridPoint(
+                _point(
                     n=n,
                     k=k,
                     lhs=fib_block_closed(n, k),
@@ -107,7 +113,7 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> VerificationReport:
             "every k=0 row equals the direct zero-free count at total n+1,"
             " so the labelled target looks shifted by one"
         )
-    return VerificationReport(
+    return Report(
         identity="thm12",
         points=tuple(points),
         lhs_label="closed",
@@ -136,7 +142,7 @@ _REPORT_BUILDERS = {
 IDENTITY_NAMES = tuple(_REPORT_BUILDERS)
 
 
-def run_identity(name: str, max_n: int, max_k: int) -> list[VerificationReport]:
+def run_identity(name: str, max_n: int, max_k: int) -> list[Report]:
     """Reports for one identity name, or for all of them in a fixed order."""
     if max_n < 0 or max_k < 0:
         raise DomainError(f"grid sizes must be >= 0, got max_n={max_n}, max_k={max_k}")

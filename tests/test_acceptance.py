@@ -18,6 +18,7 @@ from compcount.hessenberg import (
     minor_sum_subsets,
 )
 from compcount.recurrence import count_compositions
+from compcount.reports import summary
 from compcount.verify import BATTERY, adjudicate_fib_block_identity, check_fib_convolution_identity
 from compcount.weakforms import (
     count_weak_convolution,
@@ -174,12 +175,13 @@ def test_criterion_11_fib_block_identity_adjudication():
             for k in range(4):
                 assert fib_block_closed(n, k) == fib_block_convolution(n, k), (n, k)
         report = adjudicate_fib_block_identity(6, 2)
-        assert report.internal_agree, "closed and convolution columns must agree"
+        internal, oracle, _ = summary(report)
+        assert internal, "closed and convolution columns must agree"
         point = next(p for p in report.points if (p.n, p.k) == (2, 1))
         assert point.lhs == 3 and point.rhs == 3
         assert point.oracle == 2
-        assert point.verdict == "disagree"
-        assert report.oracle_agree is False
+        assert not point.agree
+        assert oracle is False
 
 
 def test_criterion_12_charpoly_coefficients_are_minor_sums():

@@ -481,7 +481,8 @@ def test_golden_cli_output(capsys, case):
     """stdout and exit code match those recorded before the routes they
     run were last changed (the counts, weak counts and tables moving onto
     the rational generating function; eq1 and thm12 moving onto the
-    series route; the weak series becoming k + 1 divisions by D)."""
+    series route; the weak series becoming k + 1 divisions by D; the
+    reports becoming namedtuples with one summary)."""
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
 

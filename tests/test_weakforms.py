@@ -5,9 +5,10 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
 from compcount.recurrence import count_compositions
-from compcount.reports import GridPoint, VerificationReport
+from compcount.reports import GridPoint, Report, summary, to_json_dict, to_text
 from compcount.verify import (
     BATTERY,
+    _point,
     adjudicate_fib_block_identity,
     check_fib_convolution_identity,
     run_identity,
@@ -215,12 +216,13 @@ def test_adjudication_report_structure():
     report = adjudicate_fib_block_identity(6, 2)
     assert report.identity == "thm12"
     assert len(report.points) == 18
-    assert report.internal_agree
-    assert report.oracle_agree is False
-    assert not report.agree
+    internal, oracle, agree = summary(report)
+    assert internal
+    assert oracle is False
+    assert not agree
     point = next(p for p in report.points if (p.n, p.k) == (2, 1))
     assert (point.lhs, point.rhs, point.oracle) == (3, 3, 2)
-    assert point.verdict == "disagree"
+    assert not point.agree
     point = next(p for p in report.points if (p.n, p.k) == (3, 0))
     assert (point.lhs, point.rhs, point.oracle) == (2, 2, 1)
     assert any("n+1" in note for note in report.notes)
@@ -243,7 +245,7 @@ def test_adjudication_refuses_past_the_guard(max_n, max_k, monkeypatch):
 
 def test_adjudication_text_serialization():
     report = adjudicate_fib_block_identity(3, 1)
-    text = report.to_text()
+    text = to_text(report)
     lines = text.splitlines()
     assert lines[0].startswith("# identity=thm12 lhs=closed rhs=convolution")
     records = [line for line in lines if not line.startswith("#")]
@@ -254,10 +256,10 @@ def test_adjudication_text_serialization():
 
 
 def test_grid_point_verdict_is_pure_function_of_values():
-    assert GridPoint(1, 0, 3, 3, 3).verdict == "agree"
-    assert GridPoint(1, 0, 3, 3, None).verdict == "agree"
-    assert GridPoint(1, 0, 3, 3, 2).verdict == "disagree"
-    assert GridPoint(1, 0, 3, 2, None).verdict == "disagree"
+    assert _point(1, 0, 3, 3, 3).agree
+    assert _point(1, 0, 3, 3, None).agree
+    assert not _point(1, 0, 3, 3, 2).agree
+    assert not _point(1, 0, 3, 2, None).agree
 
 
 @given(
@@ -268,30 +270,66 @@ def test_grid_point_verdict_is_pure_function_of_values():
     st.one_of(st.none(), st.integers(0, 3)),
 )
 def test_grid_point_verdict_property(n, k, lhs, rhs, oracle):
-    point = GridPoint(n, k, lhs, rhs, oracle)
+    point = _point(n, k, lhs, rhs, oracle)
     values = {lhs, rhs} | ({oracle} if oracle is not None else set())
-    assert point.agree == (len(values) == 1)
-    assert point.verdict == ("agree" if point.agree else "disagree")
+    assert point == GridPoint(n, k, lhs, rhs, oracle, len(values) == 1)
+    verdict = to_json_dict(Report("demo", (point,), "a", "b"))["points"][0]["verdict"]
+    assert verdict == ("agree" if point.agree else "disagree")
 
 
 def test_report_json_dict_field_names():
-    report = VerificationReport(
+    report = Report(
         identity="demo",
-        points=(GridPoint(1, 0, 2, 2, 2),),
+        points=(_point(1, 0, 2, 2, 2),),
         lhs_label="a",
         rhs_label="b",
     )
-    data = report.to_json_dict()
+    data = to_json_dict(report)
     assert set(data["points"][0]) == {"identity", "n", "k", "lhs", "rhs", "oracle", "verdict"}
     assert data["summary"] == {"lhs_vs_rhs": True, "oracle": True, "agree": True}
 
 
+_small_points = st.builds(
+    _point,
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.integers(0, 2)),
+)
+
+
+@given(
+    st.lists(_small_points, max_size=6),
+    st.lists(st.text("abc =#", max_size=8), max_size=2),
+)
+def test_text_and_json_renderers_read_one_summary(points, notes):
+    report = Report("demo", tuple(points), "a", "b", tuple(notes))
+    internal, oracle, agree = summary(report)
+    assert internal == all(p.lhs == p.rhs for p in points)
+    with_oracle = [p for p in points if p.oracle is not None]
+    assert oracle == (all(p.agree for p in with_oracle) if with_oracle else None)
+    assert agree == all(p.agree for p in points)
+
+    words = {True: "agree", False: "disagree", None: "n/a"}
+    lines = to_text(report).splitlines()
+    data = to_json_dict(report)
+    assert data["summary"] == {"lhs_vs_rhs": internal, "oracle": oracle, "agree": agree}
+    assert lines[-1] == (
+        f"# summary identity=demo lhs_vs_rhs={words[internal]}"
+        f" oracle={words[oracle]} overall={words[agree]}"
+    )
+    records = [line.split() for line in lines if not line.startswith("#")]
+    assert [r[-1] for r in records] == [p["verdict"] for p in data["points"]]
+    assert [r[-1] for r in records] == [words[p.agree] for p in points]
+
+
 def test_identity_runners_agree_on_small_grids():
-    assert check_fib_convolution_identity(12).agree
-    assert all(r.agree for r in run_identity("thm8", 7, 2))
-    assert all(r.agree for r in run_identity("thm9", 7, 2))
-    assert all(r.agree for r in run_identity("thm10", 8, 4))
-    assert all(r.agree for r in run_identity("thm11", 8, 3))
+    assert summary(check_fib_convolution_identity(12))[2]
+    assert all(summary(r)[2] for r in run_identity("thm8", 7, 2))
+    assert all(summary(r)[2] for r in run_identity("thm9", 7, 2))
+    assert all(summary(r)[2] for r in run_identity("thm10", 8, 4))
+    assert all(summary(r)[2] for r in run_identity("thm11", 8, 3))
 
 
 def test_run_identity_dispatch():
