@@ -9,8 +9,8 @@ adds q (x^a - x^(b+1)) / (1 - x) to the generating function, so the runs
 give it in two forms: the dense 1 / (1 - sum_v q_v x^v), one term per
 value, and the run form (1 - x) / ((1 - x) - sum_runs q (x^a - x^(b+1))).
 
-Counts are plain Python ``int``; instances are frozen and hashable so
-they can key caches.
+Counts are plain Python ``int``. An alphabet is a one-item tuple of its
+runs, so it is immutable and hashable and can key caches.
 """
 
 from .errors import DomainError
@@ -35,10 +35,10 @@ def runs(pairs) -> tuple[tuple[int, int, int], ...]:
     return tuple(grouped)
 
 
-class PartAlphabet:
-    __slots__ = ("runs",)
+class PartAlphabet(tuple):
+    __slots__ = ()
 
-    def __init__(self, runs: tuple[tuple[int, int | None, int], ...]):
+    def __new__(cls, runs: tuple[tuple[int, int | None, int], ...]):
         if not runs:
             raise DomainError("alphabet needs at least one part value")
         previous, shade = 0, None
@@ -53,22 +53,11 @@ class PartAlphabet:
             if first == previous + 1 and colors == shade:
                 raise DomainError(f"run from {first} continues the run before it")
             previous, shade = last, colors
-        object.__setattr__(self, "runs", runs)
+        return super().__new__(cls, (runs,))
 
-    def __setattr__(self, name, value):
-        # Instances key the brute walk's cache, so they must not change.
-        raise AttributeError(f"PartAlphabet is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PartAlphabet is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not PartAlphabet:
-            return NotImplemented
-        return self.runs == other.runs
-
-    def __hash__(self):
-        return hash(self.runs)
+    @property
+    def runs(self) -> tuple[tuple[int, int | None, int], ...]:
+        return self[0]
 
     def __repr__(self):
         return f"PartAlphabet({self.runs!r})"

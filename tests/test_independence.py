@@ -136,12 +136,13 @@ def test_the_trace_sees_what_a_route_calls():
     assert "recurrence._product" in shared
 
 
-def _modules_after(statement) -> set[str]:
-    """Every module a fresh interpreter holds after ``statement``."""
+def _modules_after(statement, *flags) -> set[str]:
+    """Every module a fresh interpreter, started with ``flags``, holds after
+    ``statement``."""
     code = f"import sys; {statement}; print(); print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     return set(done.stdout.splitlines()[-1].split())
 
@@ -184,6 +185,14 @@ def test_a_count_loads_only_the_recurrence_and_no_heavy_standard_module():
     }
     heavy = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
     assert loaded & heavy == set()
+
+
+def test_a_count_without_site_loads_neither_collections_nor_functools():
+    # A site whose .pth files load these would hide them from the check
+    # above; PartAlphabet is a plain tuple subclass so that no request pays
+    # for them.
+    loaded = _modules_after(_command("count", "5"), "-S")
+    assert {"collections", "functools"} & loaded == set()
 
 
 @pytest.mark.parametrize("argv,unused", [
