@@ -21,11 +21,13 @@ weak counts with two zeros as the series of N^3 / D^3, N^3 divided three
 times by D in place, O(n * r) for r nonzero lags of D, on `all`, on the
 wide intervals `upto:50` and `upto:2000` (run form), and on the dense
 bounded `upto:3`, `1x2,3`, `upto:13` and unbounded `atleast:5`.
-brute: the brute-force oracle, one tally per weak sequence in the grid,
-so 2^n tallies for count_compositions_brute(n) on `all` (the weak table
-with no zeros) and more for weak_brute_table(n, k), which visits every
-sequence with sum <= n and at most k zeros; its table cache is cleared
-before every run. startup: whole `python` processes, alternated round by
+brute: the brute-force oracle, which walks by levels: every sequence of
+one length is one character of a string, str.translate extends the level
+by one move and str.count tallies it, so count_compositions_brute(n) on
+`all` (the weak table with no zeros) visits 2^n sequences and
+weak_brute_table(n, k) more, every sequence with sum <= n and at most k
+zeros; on the colored `1x2,3` a level splits by the product of its
+parts' colors. Its table cache is cleared before every run. startup: whole `python` processes, alternated round by
 round so that a drift of the machine's load falls on all of them alike: a
 bare interpreter, `import compcount.cli`, `-m compcount count 5` and
 `-m compcount weak 500 5 --alphabet upto:3`; the gap between the first
@@ -83,7 +85,7 @@ POINTS = {
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000)),
     "brute": (("all", 16), ("all", 18), ("all", 20), ("all", (10, 3)), ("all", (11, 3)),
-              ("all", (12, 3))),
+              ("all", (12, 3)), ("1x2,3", (16, 3))),
 }
 
 

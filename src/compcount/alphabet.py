@@ -59,6 +59,9 @@ class PartAlphabet(tuple):
     def runs(self) -> tuple[tuple[int, int | None, int], ...]:
         return self[0]
 
+    def __getnewargs__(self):  # copy and pickle call __new__ with the runs
+        return (self.runs,)
+
     def __repr__(self):
         return f"PartAlphabet({self.runs!r})"
 

@@ -4,17 +4,20 @@ every sequence of a grid.
 Everything in this module trades speed for trust. It is the oracle the
 faster routes are validated against, so nothing here may use a recurrence,
 determinant, convolution, or closed form. Counts come from
-``weak_brute_table``: one walk visits every sequence of
-zeros and alphabet values with sum at most max_n and at most max_k zeros,
-once each, and tallies it, weighted by its parts' color counts, into the
-cell for its own sum and zero count, so one walk answers a whole (n, k)
-grid. Inputs are guarded (limit from the COMPCOUNT_GUARD environment
-variable, else 25); exceeding the guard raises instead of truncating,
-because an oracle must never return a wrong count.
+``weak_brute_table``: one walk visits every sequence of zeros and alphabet
+values with sum at most max_n and at most max_k zeros, once each, and
+tallies it, weighted by its parts' color counts, into the cell for its own
+sum and zero count, so one walk answers a whole (n, k) grid. It goes by
+levels, each sequence one character of a string: ``str.translate`` extends
+a level by one move, and ``str.count`` tallies it. Inputs are guarded
+(limit from the COMPCOUNT_GUARD environment variable, else 25): max_n and
+max_k may not exceed it, and the walk may visit at most 2^max(guard, 25)
+sequences, what ``count 25 --method brute`` visits on ``all``. Exceeding
+either raises instead of truncating, because an oracle must never return
+a wrong count.
 """
 
 import os
-import sys
 from functools import lru_cache
 
 from .alphabet import PartAlphabet
@@ -49,8 +52,6 @@ def count_weak_brute(n: int, k: int, alphabet: PartAlphabet) -> int:
     colored alphabet value, summing to ``n``: cell [n][k] of
     ``weak_brute_table(n, k, alphabet)``."""
     _check_table(n, k)
-    # The walk is called directly: no extra frame, so every walk depth
-    # the recursion limit allowed before still fits.
     return _weak_table(n, k, alphabet)[n][k]
 
 
@@ -64,7 +65,7 @@ def weak_brute_table(
     One walk visits each such sequence explicitly, once (zeros may lead,
     trail, or be adjacent); the color choices of a part enter as an exact
     per-part factor. No formula involved. The guard applies to max_n and
-    max_k before any work is done.
+    max_k before any work is done, and to the walk's length as it goes.
     """
     _check_table(max_n, max_k)
     return _weak_table(max_n, max_k, alphabet)
@@ -81,12 +82,9 @@ def _check_table(max_n, max_k):
 def _weak_table(max_n, max_k, alphabet):
     parts = alphabet.parts_within(max_n)
     # The walk visits only the sums left to reach that some sequence of
-    # parts leaves, as states numbered in the order found, so its
-    # ``remaining`` is a state: left_sums[s] is the sum left in state s,
-    # state 0 has max_n left, and moves[s] lists (state after a part v,
-    # colors of v) for every part v that fits.
-    state = {max_n: 0}
-    left_sums = [max_n]
+    # parts leaves, as states numbered in the order found: left_sums[s] is
+    # the sum left in state s, and state 0 has max_n left.
+    state, left_sums = {max_n: 0}, [max_n]
     for r in left_sums:  # grows while it is read
         for v, _ in parts:
             if v > r:
@@ -94,42 +92,44 @@ def _weak_table(max_n, max_k, alphabet):
             if r - v not in state:
                 state[r - v] = len(left_sums)
                 left_sums.append(r - v)
-    moves = [[(state[r - v], q) for v, q in parts if v <= r] for r in left_sums]
-    # left[s][z] tallies the sequences in state s with z zeros left to
-    # place, i.e. with sum max_n - left_sums[s] and max_k - z zeros. Column
-    # z = 0 holds the most sequences, so it is tallied apart, in done[s],
-    # by a walk without the zero test.
-    left = [[0] * (max_k + 1) for _ in left_sums]
-    done = [0] * len(left_sums)
+    # A sequence is one character, its node: code point s * width + z for
+    # state s with z zeros left, i.e. sum max_n - left_sums[s], max_k - z zeros.
+    width = max_k + 1
+    nodes = range(len(left_sums) * width)
+    if len(nodes) > 0x110000:
+        raise GuardExceeded(f"brute-force walk needs {len(nodes)} nodes, more than the"
+                            " 0x110000 code points of a str")
 
-    def walk_done(remaining, weight):
-        done[remaining] += weight
-        for rest, colors in moves[remaining]:
-            walk_done(rest, weight * colors)
+    def moves(node, q):  # the nodes one move of q colors leads to from node
+        r, z = left_sums[node // width], node % width
+        after = [state[r - v] * width + z for v, colors in parts if colors == q and v <= r]
+        return "".join(map(chr, after + [node - 1] * (q == 1 and z > 0)))  # a zero: q = 1
 
-    def walk(remaining, zeros_left, weight):
-        left[remaining][zeros_left] += weight
-        if zeros_left > 1:
-            walk(remaining, zeros_left - 1, weight)
-        else:
-            walk_done(remaining, weight)
-        for rest, colors in moves[remaining]:
-            walk(rest, zeros_left, weight * colors)
-
-    try:
-        if max_k:
-            walk(0, max_k, 1)
-        else:
-            walk_done(0, 1)
-    except RecursionError:
-        depth = max_k + (max_n // parts[0][0] if parts else 0)
-        raise GuardExceeded(
-            f"brute-force walk depth {depth} exceeds the recursion limit"
-            f" {sys.getrecursionlimit()}"
-        ) from None
-    rows = {}
-    for r, row, tally in zip(left_sums, left, done):
-        row[0] = tally
-        rows[max_n - r] = tuple(reversed(row))
-    zero = (0,) * (max_k + 1)  # shared by every sum no sequence reaches
+    tables = {q: [moves(node, q) for node in nodes] for q in {1, *(q for _, q in parts)}}
+    fanout = [sum(len(table[node]) for table in tables.values()) for node in nodes]
+    # A level maps a weight, the product of the parts' colors, to the
+    # sequences of one length with that weight and the nodes among them.
+    # The next level's length is counted before it is built, so the walk
+    # visits at most 2^budget sequences (steps omits the empty one), as
+    # `count budget --method brute` on `all`; a lower guard keeps the budget.
+    budget = max(effective_guard(), DEFAULT_GUARD)
+    cells, steps, level = [0] * len(nodes), 0, {1: (chr(max_k), chr(max_k))}
+    while level:
+        for weight, (sequences, present) in level.items():
+            for node in present:
+                count = sequences.count(node)
+                cells[ord(node)] += weight * count
+                steps += count * fanout[ord(node)]
+        if steps >> budget:
+            raise GuardExceeded(f"brute-force walk exceeds its step budget of 2^{budget} sequences")
+        grown = {}
+        for weight, (sequences, present) in level.items():
+            for q, table in tables.items():
+                seqs, found = grown.setdefault(weight * q, ([], set()))
+                seqs.append(sequences.translate(table))
+                found.update(present.translate(table))
+        level = {w: ("".join(seqs), "".join(found)) for w, (seqs, found) in grown.items() if found}
+    rows = {max_n - r: tuple(reversed(cells[s * width:(s + 1) * width]))
+            for s, r in enumerate(left_sums)}
+    zero = (0,) * width  # shared by every sum no sequence reaches
     return tuple(rows.get(n, zero) for n in range(max_n + 1))

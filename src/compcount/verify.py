@@ -7,14 +7,13 @@ unbounded, bounded, and multi-colored alphabets so every code path sees
 colors, gaps (values with zero multiplicity), and unbounded expansion.
 """
 
-from functools import partial
+from functools import cache, partial
 
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
 from .reports import GridPoint, Report
 from .weakforms import (
-    count_weak_convolution,
     count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
@@ -70,13 +69,20 @@ def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, first_n=0, lhs_labe
     )
 
 
-def _battery(identity, count_fn, max_n, max_k) -> list[Report]:
-    """``count_fn(n, k, alphabet)`` vs brute weak counts, per battery alphabet."""
+def _battery(identity, values, max_n, max_k) -> list[Report]:
+    """``values(alphabet, max_n)``, a function of (n, k), vs brute weak
+    counts, per battery alphabet."""
     return [
-        _oracle_grid(f"{identity}[{label}]", lambda n, k, a=alphabet: count_fn(n, k, a),
-                     max_n, max_k, alphabet)
+        _oracle_grid(f"{identity}[{label}]", values(alphabet, max_n), max_n, max_k, alphabet)
         for label, alphabet in BATTERY
     ]
+
+
+def _series_columns(alphabet, max_n):
+    """thm8's (n, k) -> weak count: one weak series per k, built when the
+    grid first reads it (after the brute guard), holds that k's column."""
+    column = cache(lambda k: weak_counts(max_n, k, alphabet))
+    return lambda n, k: column(k)[n]
 
 
 def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
@@ -122,14 +128,14 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     )
 
 
-# name -> (max_n, max_k) -> reports. thm8 and thm9 run the convolution
+# name -> (max_n, max_k) -> reports. thm8 and thm9 run the weak series
 # and the minor-sum routes over the battery; thm10 (n >= 1) and thm11 set
 # the closed forms for unrestricted parts and for parts {1, 2} against
 # brute.
 _REPORT_BUILDERS = {
     "eq1": lambda max_n, max_k: [check_fib_convolution_identity(max_n)],
-    "thm8": partial(_battery, "thm8", count_weak_convolution),
-    "thm9": partial(_battery, "thm9", count_weak_minor_sum),
+    "thm8": partial(_battery, "thm8", _series_columns),
+    "thm9": partial(_battery, "thm9", lambda a, max_n: partial(count_weak_minor_sum, alphabet=a)),
     "thm10": lambda max_n, max_k: [_oracle_grid(
         "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
         first_n=1, lhs_label="closed",

@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import inspect
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -75,6 +77,16 @@ def test_an_alphabet_cannot_be_changed(attribute):
     with pytest.raises(AttributeError):
         delattr(alphabet, attribute)
     assert alphabet == PartAlphabet.upto(2)
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda alphabet: pickle.loads(pickle.dumps(alphabet))])
+@pytest.mark.parametrize("alphabet", [
+    PartAlphabet.upto(3), PartAlphabet.at_least(2), PartAlphabet.of((1, 2), 3, (5, 3), (6, 3))])
+def test_an_alphabet_copies_and_pickles_to_an_equal_alphabet(copy_of, alphabet):
+    copied = copy_of(alphabet)
+    assert type(copied) is PartAlphabet
+    assert (copied, copied.runs, hash(copied)) == (alphabet, alphabet.runs, hash(alphabet))
 
 
 @pytest.mark.parametrize("build,message", [
@@ -283,15 +295,41 @@ def test_verify_past_the_guard_is_refused_before_any_grid_work(capsys):
     assert "guard" in err
 
 
-def test_brute_walk_deeper_than_the_recursion_limit_is_a_guard_violation():
+def _run_module(*argv, guard=None):
+    """``python -m compcount`` on ``argv``, with COMPCOUNT_GUARD=``guard``
+    if given, against this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "COMPCOUNT_GUARD": "2000",
+    env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "compcount", "weak", "0", "1500", "--method",
-                           "brute"], capture_output=True, text=True, env=env, timeout=60)
+    env.pop("COMPCOUNT_GUARD", None)
+    if guard is not None:
+        env["COMPCOUNT_GUARD"] = str(guard)
+    return subprocess.run([sys.executable, "-m", "compcount", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_brute_walk_deeper_than_the_recursion_limit_answers():
+    # 1501 levels of zeros: the level walk keeps no frame per level.
+    done = _run_module("weak", "0", "1500", "--method", "brute", guard=2000)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+def test_brute_walk_past_its_step_budget_is_a_guard_violation():
+    # Inside the default guard's corner, but parts >= 2 with up to 24 zeros
+    # give more than 2^25 sequences: refused in seconds, not run for minutes.
+    done = _run_module("verify", "--identity", "thm12", "--max-n", "0", "--max-k", "24")
     assert done.returncode == 3
     assert done.stdout == ""
-    assert "depth" in done.stderr
+    assert "step budget of 2^25" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_brute_walk_with_more_nodes_than_code_points_is_a_guard_violation():
+    # 1201 sums times 1201 zero counts is more nodes than a str can hold.
+    done = _run_module("weak", "1200", "1200", "--method", "brute", guard=5000)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "0x110000" in done.stderr
     assert "Traceback" not in done.stderr
 
 

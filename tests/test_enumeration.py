@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
 from compcount import enumeration
@@ -109,6 +109,25 @@ def test_weak_brute_table_matches_insertion_across_battery():
 def test_weak_brute_table_vs_insertion_random_alphabets(alphabet, max_n, max_k):
     table = weak_brute_table(max_n, max_k, alphabet)
     assert table == tuple(
+        tuple(count_weak_insertion(n, k, alphabet) for k in range(max_k + 1))
+        for n in range(max_n + 1)
+    )
+
+
+def _colored_with_runs(alphabet):
+    return len(alphabet.runs) > 1 and any(colors > 1 for *_, colors in alphabet.runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(alphabets(), alphabets().filter(_colored_with_runs)),
+       st.integers(0, 9), st.integers(0, 3))
+@example(PartAlphabet.of((1, 2), 3, (5, 3), (6, 3)), 9, 3)
+@example(PartAlphabet(((1, 2, 3), (3, None, 1))), 9, 3)
+def test_level_walk_equals_insertion_on_colored_multi_run_alphabets(alphabet, max_n, max_k):
+    # Every level of a colored alphabet splits by weight; zeros and parts
+    # of each color count extend it through their own translate tables.
+    enumeration._weak_table.cache_clear()
+    assert weak_brute_table(max_n, max_k, alphabet) == tuple(
         tuple(count_weak_insertion(n, k, alphabet) for k in range(max_k + 1))
         for n in range(max_n + 1)
     )

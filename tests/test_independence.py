@@ -55,7 +55,7 @@ ROUTES = {
     "series_term": (lambda a: count_compositions(9, a), "recurrence.series_term"),
     "series": (lambda a: count_weak_convolution(6, 2, a), "recurrence.divide_series"),
     "charpoly": (_charpoly, "hessenberg._charpoly_columns"),
-    "brute": (_brute, "enumeration._weak_table.<locals>.walk"),
+    "brute": (_brute, "enumeration._weak_table"),
     "unrestricted_closed": (lambda a: count_weak_unrestricted_closed(6, 2),
                             "weakforms.count_weak_unrestricted_closed"),
     "parts12_closed": (lambda a: count_weak_parts12_closed(6, 2),

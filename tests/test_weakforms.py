@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compcount import verify
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
@@ -330,6 +331,20 @@ def test_identity_runners_agree_on_small_grids():
     assert all(summary(r)[2] for r in run_identity("thm9", 7, 2))
     assert all(summary(r)[2] for r in run_identity("thm10", 8, 4))
     assert all(summary(r)[2] for r in run_identity("thm11", 8, 3))
+
+
+def test_thm8_reads_one_weak_series_per_alphabet_and_zero_count(monkeypatch):
+    columns = []
+
+    def weak_column(n, k, alphabet):
+        columns.append((n, k, alphabet))
+        return weak_counts(n, k, alphabet)
+
+    monkeypatch.setattr(verify, "weak_counts", weak_column)
+    reports = run_identity("thm8", 7, 2)
+    assert sorted(columns, key=repr) == sorted(
+        ((7, k, alphabet) for _, alphabet in BATTERY for k in range(3)), key=repr)
+    assert all(summary(r)[2] for r in reports)
 
 
 def test_run_identity_dispatch():
