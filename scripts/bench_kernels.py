@@ -22,12 +22,14 @@ times by D in place, O(n * r) for r nonzero lags of D, on `all`, on the
 wide intervals `upto:50` and `upto:2000` (run form), and on the dense
 bounded `upto:3`, `1x2,3`, `upto:13` and unbounded `atleast:5`.
 brute: the brute-force oracle, which walks by levels: every sequence of
-one length is one character of a string, str.translate extends the level
-by one move and str.count tallies it, so count_compositions_brute(n) on
-`all` (the weak table with no zeros) visits 2^n sequences and
-weak_brute_table(n, k) more, every sequence with sum <= n and at most k
-zeros; on the colored `1x2,3` a level splits by the product of its
-parts' colors. Its table cache is cleared before every run. startup: whole `python` processes, alternated round by
+one length is one character of a string, the sum it leaves, grouped by
+the product of its parts' colors and its zeros left; one 1:1
+str.translate per part value extends a group, deleting the sequences the
+part does not fit, a zero moves a whole group to one zero fewer, and
+str.count tallies it. So count_compositions_brute(n) on `all` (the weak
+table with no zeros) visits 2^n sequences and weak_brute_table(n, k)
+more, every sequence with sum <= n and at most k zeros. Its table cache
+is cleared before every run. startup: whole `python` processes, alternated round by
 round so that a drift of the machine's load falls on all of them alike: a
 bare interpreter, `import compcount.cli`, `-m compcount count 5` and
 `-m compcount weak 500 5 --alphabet upto:3`; the gap between the first

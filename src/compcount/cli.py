@@ -134,13 +134,12 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .reports import to_json_dict, to_text
+    from .reports import to_json, to_text
     from .verify import run_identity
 
     reports = run_identity(args["identity"], args["max-n"], args["max-k"])
     if args["json"]:
-        import json
-        print(json.dumps({"reports": [to_json_dict(r) for r in reports]}, indent=2))
+        print(to_json(reports))
     else:
         for report in reports:
             print(to_text(report))
@@ -285,10 +284,9 @@ def run():
     try:
         code = main()
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
         # The reader closed stdout (`compcount table ... | head`): what it
-        # read is all it wanted, so this is success, not an error. Point
-        # stdout at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # read is all it wanted, so this is success, not an error.
         code = EXIT_OK
-    sys.exit(code)
+    os._exit(code)  # skips the interpreter's teardown, so no atexit hook runs

@@ -8,8 +8,9 @@ determinant, convolution, or closed form. Counts come from
 values with sum at most max_n and at most max_k zeros, once each, and
 tallies it, weighted by its parts' color counts, into the cell for its own
 sum and zero count, so one walk answers a whole (n, k) grid. It goes by
-levels, each sequence one character of a string: ``str.translate`` extends
-a level by one move, and ``str.count`` tallies it. Inputs are guarded
+levels, each sequence one character of a string, the sum it leaves: one
+1:1 ``str.translate`` per part value extends a level, a zero moves a whole
+string to one zero fewer, and ``str.count`` tallies it. Inputs are guarded
 (limit from the COMPCOUNT_GUARD environment variable, else 25): max_n and
 max_k may not exceed it, and the walk may visit at most 2^max(guard, 25)
 sequences, what ``count 25 --method brute`` visits on ``all``. Exceeding
@@ -92,43 +93,47 @@ def _weak_table(max_n, max_k, alphabet):
             if r - v not in state:
                 state[r - v] = len(left_sums)
                 left_sums.append(r - v)
-    # A sequence is one character, its node: code point s * width + z for
-    # state s with z zeros left, i.e. sum max_n - left_sums[s], max_k - z zeros.
+    # Cell s * width + z tallies state s with z zeros left (max_k - z zeros).
     width = max_k + 1
-    nodes = range(len(left_sums) * width)
-    if len(nodes) > 0x110000:
-        raise GuardExceeded(f"brute-force walk needs {len(nodes)} nodes, more than the"
+    nodes = len(left_sums) * width
+    if nodes > 0x110000:
+        raise GuardExceeded(f"brute-force walk needs {nodes} nodes, more than the"
                             " 0x110000 code points of a str")
-
-    def moves(node, q):  # the nodes one move of q colors leads to from node
-        r, z = left_sums[node // width], node % width
-        after = [state[r - v] * width + z for v, colors in parts if colors == q and v <= r]
-        return "".join(map(chr, after + [node - 1] * (q == 1 and z > 0)))  # a zero: q = 1
-
-    tables = {q: [moves(node, q) for node in nodes] for q in {1, *(q for _, q in parts)}}
-    fanout = [sum(len(table[node]) for table in tables.values()) for node in nodes]
-    # A level maps a weight, the product of the parts' colors, to the
-    # sequences of one length with that weight and the nodes among them.
-    # The next level's length is counted before it is built, so the walk
-    # visits at most 2^budget sequences (steps omits the empty one), as
-    # `count budget --method brute` on `all`; a lower guard keeps the budget.
+    # Part v takes each state to that of its sum left less v, or deletes it
+    # (None): a 1:1 table, on CPython's ASCII fast path below 128 states.
+    tables = [(q, [state.get(r - v) for r in left_sums]) for v, q in parts]
+    fits = [sum(v <= r for v, _ in parts) for r in left_sums]
+    # A level maps (weight, z), the product of its parts' colors and its
+    # zeros left, to its sequences and the states among them. The next
+    # level's length is counted before it is built, so the walk visits at
+    # most 2^budget sequences (steps omits the empty one), as `count budget
+    # --method brute` on `all`; a lower guard keeps the budget.
     budget = max(effective_guard(), DEFAULT_GUARD)
-    cells, steps, level = [0] * len(nodes), 0, {1: (chr(max_k), chr(max_k))}
+    cells, steps, level = [0] * nodes, 0, {(1, max_k): ("\0", "\0")}
     while level:
-        for weight, (sequences, present) in level.items():
-            for node in present:
-                count = sequences.count(node)
-                cells[ord(node)] += weight * count
-                steps += count * fanout[ord(node)]
+        for (weight, z), (sequences, present) in level.items():
+            for s in present:
+                count = sequences.count(s)
+                cells[ord(s) * width + z] += weight * count
+                steps += count * (fits[ord(s)] + (z > 0))
         if steps >> budget:
             raise GuardExceeded(f"brute-force walk exceeds its step budget of 2^{budget} sequences")
         grown = {}
-        for weight, (sequences, present) in level.items():
-            for q, table in tables.items():
-                seqs, found = grown.setdefault(weight * q, ([], set()))
+        while level:  # a parent is dropped once it is extended
+            (weight, z), (sequences, present) = level.popitem()
+            for q, table in tables:
+                found = present.translate(table)
+                if not found:
+                    break  # the parts ascend: no larger one fits either
+                seqs, states = grown.setdefault((weight * q, z), ([], set()))
                 seqs.append(sequences.translate(table))
-                found.update(present.translate(table))
-        level = {w: ("".join(seqs), "".join(found)) for w, (seqs, found) in grown.items() if found}
+                states.update(found)
+            if z:  # a zero moves the whole group to one zero fewer
+                seqs, states = grown.setdefault((weight, z - 1), ([], set()))
+                seqs.append(sequences)
+                states.update(present)
+        del sequences, present
+        level = {key: ("".join(seqs), "".join(states)) for key, (seqs, states) in grown.items()}
     rows = {max_n - r: tuple(reversed(cells[s * width:(s + 1) * width]))
             for s, r in enumerate(left_sums)}
     zero = (0,) * width  # shared by every sum no sequence reaches

@@ -55,11 +55,10 @@ def _rows(band, zero=0, minus_one=-1):
         yield line[n - i : 2 * n - i]
 
 
-def _charpoly_columns(band: tuple[int, ...], last: int, width: int) -> list[int]:
-    """Fill columns 0..``last`` of the charpoly table of ``band`` and
-    return the last cell of each column. Column i holds, for j = i..min(i +
-    width, n), c_i(j) = (-1)^(j-i) [x^i] det(xI - M_j): the sum of all
-    order-(j-i) principal minors of the leading order-j block M_j.
+def _charpoly_columns(band: tuple[int, ...], last: int, width: int):
+    """Yield columns 0..``last`` of the charpoly table of ``band``. Column i
+    holds, in cell j - i for j = i..min(i + width, n), c_i(j) = (-1)^(j-i)
+    [x^i] det(xI - M_j): the sum of all order-(j-i) principal minors of M_j.
 
     c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1.
     The band's last run, from alphabet.runs over its (lag, value) pairs as
@@ -77,7 +76,6 @@ def _charpoly_columns(band: tuple[int, ...], last: int, width: int) -> list[int]
     first, _, tail = runs(enumerate((0, *band)))[-1]  # lag 0 (v_0 = 0, never read) gives () a run
     start = first if tail else n + 1  # T, the first lag of the tail; past the band if v = 0
     lags = [(d, v) for d, v in enumerate(band[: start - 1], start=1) if v]
-    ends = []
     previous = [1] + [0] * width
     for i in range(last + 1):
         column = []
@@ -92,15 +90,14 @@ def _charpoly_columns(band: tuple[int, ...], last: int, width: int) -> list[int]
                 run += column[t - start]
                 value += run if tail == 1 else tail * run
             column.append(value)
-        ends.append(column[-1])
+        yield column
         previous = column
-    return ends
 
 
 def det_hessenberg(band: tuple[int, ...]) -> int:
     """Determinant c_0(n) from column 0 of the charpoly table: n + 1 cells,
     each one addition per nonzero head lag plus one for a constant tail."""
-    return _charpoly_columns(band, 0, len(band))[0]
+    return next(_charpoly_columns(band, 0, len(band)))[-1]
 
 
 def det_bareiss(rows) -> int:
@@ -164,7 +161,7 @@ def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     principal minors.
     """
     n = len(band)
-    ends = _charpoly_columns(band, n, n)
+    ends = [column[-1] for column in _charpoly_columns(band, n, n)]
     return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
@@ -176,7 +173,9 @@ def minor_sum(band: tuple[int, ...], order: int) -> int:
     n = len(band)
     if not 0 <= order <= n:
         raise DomainError(f"minor order must be within 0..{n}, got {order}")
-    return _charpoly_columns(band, n - order, order)[-1]
+    for column in _charpoly_columns(band, n - order, order):
+        pass  # only the last column is read
+    return column[-1]
 
 
 def grid_lines(band: tuple[int, ...]):

@@ -1,6 +1,6 @@
 """Verification reports as data: a report and its grid points are
 namedtuples, and one summary of the points feeds both the columnar text
-and the JSON-ready dict.
+and the JSON document.
 
 A GridPoint's ``agree`` is set once, when verify builds the point: true
 exactly when every value recorded there (lhs, rhs, and the oracle when
@@ -53,29 +53,38 @@ def to_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-def to_json_dict(report: Report) -> dict:
-    """The same records and summary as a dict ready for ``json.dumps``."""
-    internal, oracle, agree = summary(report)
-    return {
-        "identity": report.identity,
-        "lhs_label": report.lhs_label,
-        "rhs_label": report.rhs_label,
-        "notes": list(report.notes),
-        "summary": {
-            "lhs_vs_rhs": internal,
-            "oracle": oracle,
-            "agree": agree,
-        },
-        "points": [
-            {
-                "identity": report.identity,
-                "n": p.n,
-                "k": p.k,
-                "lhs": p.lhs,
-                "rhs": p.rhs,
-                "oracle": p.oracle,
-                "verdict": _verdict(p.agree),
-            }
-            for p in report.points
-        ],
-    }
+def to_json(reports) -> str:
+    """The records and summaries as the bytes json.dumps({"reports": [...]},
+    indent=2) prints, each point from one template; strings go through dumps."""
+    from json import dumps
+
+    def array(items, pad):  # json's layout of a list at this indent
+        return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[2:]}]" if items else "[]"
+
+    words = {True: "true", False: "false", None: "null"}
+    blocks = []
+    for report in reports:
+        internal, oracle, agree = summary(report)
+        identity = dumps(report.identity)
+        points = [f"""{{
+          "identity": {identity},
+          "n": {p.n},
+          "k": {p.k},
+          "lhs": {p.lhs},
+          "rhs": {p.rhs},
+          "oracle": {"null" if p.oracle is None else p.oracle},
+          "verdict": "{_verdict(p.agree)}"
+        }}""" for p in report.points]
+        blocks.append(f"""{{
+      "identity": {identity},
+      "lhs_label": {dumps(report.lhs_label)},
+      "rhs_label": {dumps(report.rhs_label)},
+      "notes": {array([dumps(note) for note in report.notes], " " * 8)},
+      "summary": {{
+        "lhs_vs_rhs": {words[internal]},
+        "oracle": {words[oracle]},
+        "agree": {words[agree]}
+      }},
+      "points": {array(points, " " * 8)}
+    }}""")
+    return f'{{\n  "reports": {array(blocks, " " * 4)}\n}}'

@@ -12,9 +12,9 @@ from functools import cache, partial
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
+from .hessenberg import _charpoly_columns, build_matrix
 from .reports import GridPoint, Report
 from .weakforms import (
-    count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
     fib_block_closed,
@@ -69,20 +69,16 @@ def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, first_n=0, lhs_labe
     )
 
 
-def _battery(identity, values, max_n, max_k) -> list[Report]:
-    """``values(alphabet, max_n)``, a function of (n, k), vs brute weak
-    counts, per battery alphabet."""
-    return [
-        _oracle_grid(f"{identity}[{label}]", values(alphabet, max_n), max_n, max_k, alphabet)
-        for label, alphabet in BATTERY
-    ]
-
-
-def _series_columns(alphabet, max_n):
-    """thm8's (n, k) -> weak count: one weak series per k, built when the
-    grid first reads it (after the brute guard), holds that k's column."""
-    column = cache(lambda k: weak_counts(max_n, k, alphabet))
-    return lambda n, k: column(k)[n]
+def _battery(identity, columns, max_n, max_k) -> list[Report]:
+    """``columns(alphabet, max_n, max_k)[k][n]`` vs brute weak counts, per
+    battery alphabet; the columns are built when the grid first reads them,
+    after the brute guard."""
+    reports = []
+    for label, alphabet in BATTERY:
+        table = cache(partial(columns, alphabet, max_n, max_k))
+        reports.append(_oracle_grid(f"{identity}[{label}]", lambda n, k: table()[k][n], max_n,
+                                    max_k, alphabet))
+    return reports
 
 
 def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
@@ -129,13 +125,16 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
 
 
 # name -> (max_n, max_k) -> reports. thm8 and thm9 run the weak series
-# and the minor-sum routes over the battery; thm10 (n >= 1) and thm11 set
-# the closed forms for unrestricted parts and for parts {1, 2} against
-# brute.
+# and the minor-sum routes over the battery: one weak series per k, and
+# the charpoly table of the order max_n + max_k matrix, whose cell n of
+# column k, c_k(n + k), is thm9's count. thm10 (n >= 1) and thm11 set the
+# closed forms for unrestricted parts and for parts {1, 2} against brute.
 _REPORT_BUILDERS = {
     "eq1": lambda max_n, max_k: [check_fib_convolution_identity(max_n)],
-    "thm8": partial(_battery, "thm8", _series_columns),
-    "thm9": partial(_battery, "thm9", lambda a, max_n: partial(count_weak_minor_sum, alphabet=a)),
+    "thm8": partial(_battery, "thm8", lambda a, max_n, max_k: [
+        weak_counts(max_n, k, a) for k in range(max_k + 1)]),
+    "thm9": partial(_battery, "thm9", lambda a, max_n, max_k: list(
+        _charpoly_columns(build_matrix(a, max_n + max_k), max_k, max_n))),
     "thm10": lambda max_n, max_k: [_oracle_grid(
         "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
         first_n=1, lhs_label="closed",

@@ -3,8 +3,9 @@ the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
 prefix of counts by the recurrence itself, the counting matrix written out
 entry by entry from its band, its principal minors, by elimination and as
-products of counts, and a stream of every colored composition, with the
-weak counts it gives by inserting zeros, that checks the brute walk."""
+products of counts, a stream of every colored composition, with the
+weak counts it gives by inserting zeros, that checks the brute walk, and
+a report as the dict whose json.dumps the JSON renderer must print."""
 
 import itertools
 import math
@@ -165,3 +166,34 @@ def count_weak_insertion(n: int, k: int, alphabet: PartAlphabet) -> int:
     _check_guard("k", k)
     lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
     return sum(count * math.comb(p + k, k) for p, count in lengths.items())
+
+
+def to_json_dict(report) -> dict:
+    """A verification report as the dict that json.dumps(..., indent=2)
+    renders: the reference for reports.to_json, which prints those bytes
+    without building the dict."""
+    with_oracle = [p.agree for p in report.points if p.oracle is not None]
+    verdict = {True: "agree", False: "disagree"}
+    return {
+        "identity": report.identity,
+        "lhs_label": report.lhs_label,
+        "rhs_label": report.rhs_label,
+        "notes": list(report.notes),
+        "summary": {
+            "lhs_vs_rhs": all(p.lhs == p.rhs for p in report.points),
+            "oracle": all(with_oracle) if with_oracle else None,
+            "agree": all(p.agree for p in report.points),
+        },
+        "points": [
+            {
+                "identity": report.identity,
+                "n": p.n,
+                "k": p.k,
+                "lhs": p.lhs,
+                "rhs": p.rhs,
+                "oracle": p.oracle,
+                "verdict": verdict[p.agree],
+            }
+            for p in report.points
+        ],
+    }

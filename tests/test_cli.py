@@ -295,17 +295,33 @@ def test_verify_past_the_guard_is_refused_before_any_grid_work(capsys):
     assert "guard" in err
 
 
-def _run_module(*argv, guard=None):
+def _run_module(*argv, guard=None, text=True):
     """``python -m compcount`` on ``argv``, with COMPCOUNT_GUARD=``guard``
-    if given, against this checkout's package."""
+    if given, against this checkout's package; stdout and stderr as str,
+    or as bytes if not ``text``. Without PYTHONUNBUFFERED, so that stdout
+    is block-buffered, as a pipe from a shell is, and a lost flush shows."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("COMPCOUNT_GUARD", None)
+    env.pop("PYTHONUNBUFFERED", None)
     if guard is not None:
         env["COMPCOUNT_GUARD"] = str(guard)
     return subprocess.run([sys.executable, "-m", "compcount", *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=text, env=env, timeout=60)
+
+
+def test_the_console_entry_flushes_every_byte_before_it_exits(capsys):
+    # run() ends the process with os._exit, after flushing: a table of
+    # 3000 rows must reach the pipe whole, and a refusal must arrive with
+    # its exit code and its one line on stderr.
+    code, out, _ = run_cli(capsys, "table", "--n-max", "3000")
+    done = _run_module("table", "--n-max", "3000", text=False)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+    assert len(done.stdout) > 1 << 20
+    refused = _run_module("count", "30", "--method", "brute")
+    assert (refused.returncode, refused.stdout) == (3, "")
+    assert refused.stderr == "compcount: n=30 exceeds the enumeration guard 25\n"
 
 
 def test_brute_walk_deeper_than_the_recursion_limit_answers():

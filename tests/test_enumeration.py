@@ -8,6 +8,7 @@ from compcount import enumeration
 from compcount.enumeration import count_compositions_brute, count_weak_brute, weak_brute_table
 from compcount.errors import DomainError, GuardExceeded
 from compcount.verify import BATTERY
+from compcount.weakforms import weak_counts
 
 from paper_refs import count_weak_insertion, enumerate_compositions
 from strategies import alphabets
@@ -124,8 +125,9 @@ def _colored_with_runs(alphabet):
 @example(PartAlphabet.of((1, 2), 3, (5, 3), (6, 3)), 9, 3)
 @example(PartAlphabet(((1, 2, 3), (3, None, 1))), 9, 3)
 def test_level_walk_equals_insertion_on_colored_multi_run_alphabets(alphabet, max_n, max_k):
-    # Every level of a colored alphabet splits by weight; zeros and parts
-    # of each color count extend it through their own translate tables.
+    # Every level of a colored alphabet splits by weight and zeros left;
+    # each part value extends it through its own translate table, and a
+    # zero moves a whole group to one zero fewer.
     enumeration._weak_table.cache_clear()
     assert weak_brute_table(max_n, max_k, alphabet) == tuple(
         tuple(count_weak_insertion(n, k, alphabet) for k in range(max_k + 1))
@@ -165,6 +167,22 @@ def test_weak_brute_table_allocates_only_for_reachable_sums(monkeypatch):
     assert (table[0], table[200000], len(table)) == ((1,), (1,), 200001)
     assert sum(map(sum, table)) == 2
     assert peak < 5 << 20
+
+
+def test_a_walk_past_the_ascii_fast_path_equals_the_series(monkeypatch):
+    # Parts >= 40 leave 162 distinct sums below 200, so the states run past
+    # the 128 code points of str.translate's ASCII fast path.
+    monkeypatch.setenv("COMPCOUNT_GUARD", "200")
+    alphabet = PartAlphabet.at_least(40)
+    enumeration._weak_table.cache_clear()
+    try:
+        table = weak_brute_table(200, 2, alphabet)
+    finally:
+        enumeration._weak_table.cache_clear()
+    assert sum(1 for row in table if any(row)) == 162
+    assert [list(column) for column in zip(*table)] == [
+        weak_counts(200, k, alphabet) for k in range(3)
+    ]
 
 
 def test_weak_brute_agrees_with_insertion_across_battery():

@@ -1,12 +1,14 @@
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compcount import verify
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
 from compcount.recurrence import count_compositions
-from compcount.reports import GridPoint, Report, summary, to_json_dict, to_text
+from compcount.reports import GridPoint, Report, summary, to_json, to_text
 from compcount.verify import (
     BATTERY,
     _point,
@@ -24,7 +26,7 @@ from compcount.weakforms import (
     weak_counts,
 )
 
-from paper_refs import convolution_power, fibonacci, sequence_prefix
+from paper_refs import convolution_power, fibonacci, sequence_prefix, to_json_dict
 from strategies import alphabets, margins, run_form_margin
 
 
@@ -274,8 +276,13 @@ def test_grid_point_verdict_property(n, k, lhs, rhs, oracle):
     point = _point(n, k, lhs, rhs, oracle)
     values = {lhs, rhs} | ({oracle} if oracle is not None else set())
     assert point == GridPoint(n, k, lhs, rhs, oracle, len(values) == 1)
-    verdict = to_json_dict(Report("demo", (point,), "a", "b"))["points"][0]["verdict"]
+    verdict = _json(Report("demo", (point,), "a", "b"))["points"][0]["verdict"]
     assert verdict == ("agree" if point.agree else "disagree")
+
+
+def _json(report):
+    """The one report of the JSON document that to_json prints for it."""
+    return json.loads(to_json([report]))["reports"][0]
 
 
 def test_report_json_dict_field_names():
@@ -285,7 +292,7 @@ def test_report_json_dict_field_names():
         lhs_label="a",
         rhs_label="b",
     )
-    data = to_json_dict(report)
+    data = _json(report)
     assert set(data["points"][0]) == {"identity", "n", "k", "lhs", "rhs", "oracle", "verdict"}
     assert data["summary"] == {"lhs_vs_rhs": True, "oracle": True, "agree": True}
 
@@ -314,7 +321,7 @@ def test_text_and_json_renderers_read_one_summary(points, notes):
 
     words = {True: "agree", False: "disagree", None: "n/a"}
     lines = to_text(report).splitlines()
-    data = to_json_dict(report)
+    data = _json(report)
     assert data["summary"] == {"lhs_vs_rhs": internal, "oracle": oracle, "agree": agree}
     assert lines[-1] == (
         f"# summary identity=demo lhs_vs_rhs={words[internal]}"
@@ -323,6 +330,26 @@ def test_text_and_json_renderers_read_one_summary(points, notes):
     records = [line.split() for line in lines if not line.startswith("#")]
     assert [r[-1] for r in records] == [p["verdict"] for p in data["points"]]
     assert [r[-1] for r in records] == [words[p.agree] for p in points]
+
+
+_any_ints = st.one_of(st.integers(), st.integers(-(2**10000), 2**10000))
+_any_points = st.builds(_point, _any_ints, _any_ints, _any_ints, _any_ints,
+                        st.one_of(st.none(), _any_ints))
+_reports = st.builds(Report, st.text(), st.lists(_any_points, max_size=4).map(tuple), st.text(),
+                     st.text(), st.lists(st.text(), max_size=3).map(tuple))
+
+
+@settings(max_examples=200)
+@given(st.lists(_reports, max_size=4))
+@example([Report('q"\\\n\x00\x1f\x7f\u00e9\u2028\U0001f600', (_point(0, 0, 1, 1),), "", "",
+                 ("",))])
+@example([Report("empty", (), "a", "b")])
+def test_json_renderer_prints_the_bytes_of_json_dumps(reports):
+    """Strings with quotes, backslashes, control and non-ASCII characters,
+    absent oracles, empty grids and notes, and ints of thousands of digits
+    print as json.dumps prints the reference dicts."""
+    expected = json.dumps({"reports": [to_json_dict(r) for r in reports]}, indent=2)
+    assert to_json(reports) == expected
 
 
 def test_identity_runners_agree_on_small_grids():
