@@ -46,13 +46,6 @@ grid's corner cell of a brute table) as a sanity check: c(10^6) on
 order n has n bits, since its value is +-2^(n-1). One line per start-up
 command: the median seconds of STARTUP_RUNS runs, after one untimed run of
 each that fills the bytecode cache.
-
-`--margin M` sets alphabet.RUN_FORM_MARGIN for the kernel suites: run the
-recurrence suite at the default and at `--margin 1`, where every `upto:K`
-with K >= 3 takes the run form, to see what the run form costs one count
-at each K; run the conv or series suite at `--margin 1000000`, where every
-bounded alphabet stays dense, to see what the run form saves on
-`upto:2000`.
 """
 
 import argparse
@@ -65,7 +58,7 @@ import tracemalloc
 from pathlib import Path
 
 import compcount
-from compcount import alphabet as alphabet_module, enumeration
+from compcount import enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import build_matrix, charpoly, det_hessenberg, minor_sum_subsets
@@ -162,11 +155,7 @@ def measure_startup() -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(POINTS) + ["startup", "all"], default="all")
-    parser.add_argument("--margin", type=int, default=alphabet_module.RUN_FORM_MARGIN,
-                        help="alphabet.RUN_FORM_MARGIN for the kernel suites"
-                             " (default: %(default)s)")
     args = parser.parse_args(argv)
-    alphabet_module.RUN_FORM_MARGIN = args.margin
 
     if args.suite in ("startup", "all"):
         for name, seconds in measure_startup().items():

@@ -23,17 +23,13 @@ import os
 import sys
 
 from .alphabet import PartAlphabet
-from .errors import CompCountError, DomainError, UnsupportedClosedForm
+from .errors import CompCountError, Disagreement, DomainError, GuardExceeded, UnsupportedClosedForm
 
 # Each command imports the route it runs inside the branch that runs it:
 # every invocation is a fresh process, so a route it does not run would
 # only add start-up time. The identity names are spelled out for the same
 # reason; verify.IDENTITY_NAMES is the table they must match.
 IDENTITY_NAMES = ("eq1", "thm8", "thm9", "thm10", "thm11", "thm12")
-
-# Codes 2 to 4 are the exit_code of the error class raised (see errors).
-EXIT_OK = 0
-EXIT_DISAGREEMENT = 1
 
 
 def parse_alphabet(text: str) -> PartAlphabet:
@@ -66,46 +62,41 @@ def parse_alphabet(text: str) -> PartAlphabet:
         raise DomainError(f"invalid alphabet spec {spec!r}: {exc}") from None
 
 
-def cmd_count(args) -> int:
-    alphabet = parse_alphabet(args["alphabet"])
+def cmd_count(args):
     if args["method"] == "recurrence":
         from .recurrence import count_compositions
-        value = count_compositions(args["n"], alphabet)
+        yield count_compositions(args["n"], args["alphabet"])
     elif args["method"] == "det":
         from .hessenberg import build_matrix, det_hessenberg
-        value = det_hessenberg(build_matrix(alphabet, args["n"]))
+        yield det_hessenberg(build_matrix(args["alphabet"], args["n"]))
     else:
         from .enumeration import count_compositions_brute
-        value = count_compositions_brute(args["n"], alphabet)
-    print(value)
-    return EXIT_OK
+        yield count_compositions_brute(args["n"], args["alphabet"])
 
 
-def cmd_weak(args) -> int:
-    alphabet = parse_alphabet(args["alphabet"])
+def cmd_weak(args):
+    n, k, alphabet = args["n"], args["k"], args["alphabet"]
     if args["method"] == "conv":
         from .weakforms import count_weak_convolution
-        value = count_weak_convolution(args["n"], args["k"], alphabet)
+        yield count_weak_convolution(n, k, alphabet)
     elif args["method"] == "minors":
         from .weakforms import count_weak_minor_sum
-        value = count_weak_minor_sum(args["n"], args["k"], alphabet)
+        yield count_weak_minor_sum(n, k, alphabet)
     elif args["method"] == "brute":
         from .enumeration import count_weak_brute
-        value = count_weak_brute(args["n"], args["k"], alphabet)
+        yield count_weak_brute(n, k, alphabet)
     elif alphabet == PartAlphabet.at_least(1):  # the method is closed from here on
         from .weakforms import count_weak_unrestricted_closed
-        value = count_weak_unrestricted_closed(args["n"], args["k"])
+        yield count_weak_unrestricted_closed(n, k)
     elif alphabet == PartAlphabet.upto(2):
         from .weakforms import count_weak_parts12_closed
-        value = count_weak_parts12_closed(args["n"], args["k"])
+        yield count_weak_parts12_closed(n, k)
     else:
         raise UnsupportedClosedForm(f"no closed form for alphabet {alphabet};"
                                     " supported: all, upto:2")
-    print(value)
-    return EXIT_OK
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args):
     from .hessenberg import (
         build_matrix,
         charpoly,
@@ -115,63 +106,49 @@ def cmd_matrix(args) -> int:
         minor_sum_subsets,
     )
 
-    alphabet = parse_alphabet(args["alphabet"])
     if args["n"] < 1:  # order 0 is a valid band, but no grid to print
         raise DomainError(f"matrix order must be >= 1, got {args['n']}")
     if args["minorsum"] is not None:
         check_minor_subsets(args["n"], args["minorsum"])
-    band = build_matrix(alphabet, args["n"])
+    band = build_matrix(args["alphabet"], args["n"])
     if args["det"]:
-        print(det_hessenberg(band))
+        yield det_hessenberg(band)
     elif args["charpoly"]:
-        print(" ".join(map(str, charpoly(band))))
+        yield " ".join(map(str, charpoly(band)))
     elif args["minorsum"] is not None:
-        print(minor_sum_subsets(band, args["minorsum"]))
+        yield minor_sum_subsets(band, args["minorsum"])
     else:
-        for line in grid_lines(band):
-            print(line)
-    return EXIT_OK
+        yield from grid_lines(band)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .reports import to_json, to_text
     from .verify import run_identity
 
     reports = run_identity(args["identity"], args["max-n"], args["max-k"])
     if args["json"]:
-        print(to_json(reports))
+        yield to_json(reports)
     else:
-        for report in reports:
-            print(to_text(report))
+        yield from map(to_text, reports)
     disagreements = sum(not p.agree for r in reports for p in r.points)
     if disagreements:
-        print(f"{disagreements} disagreeing grid point(s) found", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        raise Disagreement(f"{disagreements} disagreeing grid point(s) found")
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     from .weakforms import weak_counts
 
-    values = weak_counts(args["n-max"], args["k"] or 0, parse_alphabet(args["alphabet"]))
-    rows = enumerate(values[1:], start=1)
-    if args["bfile"]:
-        for n, value in rows:
-            print(f"{n} {value}")
-    elif args["k"] is None:
-        print("n,count")
-        for n, value in rows:
-            print(f"{n},{value}")
-    else:
-        print("n,k,count")
-        for n, value in rows:
-            print(f"{n},{args['k']},{value}")
-    return EXIT_OK
+    k = args["k"]
+    values = weak_counts(args["n-max"], k or 0, args["alphabet"])
+    sep = " " if args["bfile"] else "," if k is None else f",{k},"
+    if not args["bfile"]:
+        yield "n,count" if k is None else "n,k,count"
+    for n, value in enumerate(values[1:], start=1):
+        yield f"{n}{sep}{value}"
 
 
-def cmd_help(args) -> int:
-    print(f"{usage()}\n\n{__doc__.strip()}")
-    return EXIT_OK
+def cmd_help(args):
+    yield f"{usage()}\n\n{__doc__.strip()}"
 
 
 # command: (handler, positional ints, options, options of which at most
@@ -266,18 +243,30 @@ def parse_args(argv):
     for name, value in args.items():
         if value is REQUIRED:
             raise DomainError(f"option --{name} is required\n{usage(command)}")
+    for name, spec in options.items():
+        if isinstance(spec, str):  # the only str option is an alphabet
+            args[name] = parse_alphabet(args[name])
     return handler, args
 
 
+# A handler yields its output lines (ints or strs) and prints nothing. It
+# makes every check and computes before its first yield, so a refusal
+# prints nothing; only verify yields before it raises, its Disagreement
+# after its last report. main prints each line, and turns an error class
+# into its exit_code; a size the machine cannot hold is a guard violation.
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # counts print in full
         sys.set_int_max_str_digits(0)
     try:
         handler, args = parse_args(sys.argv[1:] if argv is None else argv)
-        return handler(args)
-    except CompCountError as exc:
+        for line in handler(args):
+            print(line)
+    except (CompCountError, MemoryError, OverflowError) as exc:
+        if not isinstance(exc, CompCountError):
+            exc = GuardExceeded(f"too large for this machine: {exc!r}")
         print(f"compcount: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 def run():
@@ -288,5 +277,5 @@ def run():
     except BrokenPipeError:
         # The reader closed stdout (`compcount table ... | head`): what it
         # read is all it wanted, so this is success, not an error.
-        code = EXIT_OK
+        code = 0
     os._exit(code)  # skips the interpreter's teardown, so no atexit hook runs

@@ -11,6 +11,12 @@ class CompCountError(Exception):
     exit_code: int
 
 
+class Disagreement(CompCountError):
+    """An identity's routes disagree at some grid point of its report."""
+
+    exit_code = 1
+
+
 class DomainError(CompCountError, ValueError):
     """An argument lies outside an operation's domain: a malformed
     alphabet spec, an index outside a matrix, a negative binomial upper

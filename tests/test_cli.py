@@ -295,11 +295,12 @@ def test_verify_past_the_guard_is_refused_before_any_grid_work(capsys):
     assert "guard" in err
 
 
-def _run_module(*argv, guard=None, text=True):
+def _run_module(*argv, guard=None, text=True, preexec_fn=None):
     """``python -m compcount`` on ``argv``, with COMPCOUNT_GUARD=``guard``
     if given, against this checkout's package; stdout and stderr as str,
-    or as bytes if not ``text``. Without PYTHONUNBUFFERED, so that stdout
-    is block-buffered, as a pipe from a shell is, and a lost flush shows."""
+    or as bytes if not ``text``; ``preexec_fn`` runs in the child before
+    it starts. Without PYTHONUNBUFFERED, so that stdout is block-buffered,
+    as a pipe from a shell is, and a lost flush shows."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -308,13 +309,14 @@ def _run_module(*argv, guard=None, text=True):
     if guard is not None:
         env["COMPCOUNT_GUARD"] = str(guard)
     return subprocess.run([sys.executable, "-m", "compcount", *argv], capture_output=True,
-                          text=text, env=env, timeout=60)
+                          text=text, env=env, timeout=60, preexec_fn=preexec_fn)
 
 
 def test_the_console_entry_flushes_every_byte_before_it_exits(capsys):
     # run() ends the process with os._exit, after flushing: a table of
-    # 3000 rows must reach the pipe whole, and a refusal must arrive with
-    # its exit code and its one line on stderr.
+    # 3000 rows must reach the pipe whole, a refusal must arrive with its
+    # exit code and its one line on stderr, and a disagreement with its
+    # whole report and then its one line.
     code, out, _ = run_cli(capsys, "table", "--n-max", "3000")
     done = _run_module("table", "--n-max", "3000", text=False)
     assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
@@ -322,6 +324,11 @@ def test_the_console_entry_flushes_every_byte_before_it_exits(capsys):
     refused = _run_module("count", "30", "--method", "brute")
     assert (refused.returncode, refused.stdout) == (3, "")
     assert refused.stderr == "compcount: n=30 exceeds the enumeration guard 25\n"
+    argv = ("verify", "--identity", "thm12", "--max-n", "3", "--max-k", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    disagreed = _run_module(*argv)
+    assert (disagreed.returncode, disagreed.stdout) == (1, out) and code == 1
+    assert disagreed.stderr == "compcount: 5 disagreeing grid point(s) found\n"
 
 
 def test_brute_walk_deeper_than_the_recursion_limit_answers():
@@ -349,6 +356,41 @@ def test_brute_walk_with_more_nodes_than_code_points_is_a_guard_violation():
     assert "Traceback" not in done.stderr
 
 
+HUGE = "1000000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--n-max", HUGE),
+    ("matrix", HUGE),
+    ("matrix", HUGE, "--det"),
+    ("weak", HUGE, "0"),
+    ("weak", HUGE, "0", "--method", "closed"),
+    ("verify", "--identity", "eq1", "--max-n", HUGE),
+    ("count", "100000000000000000000", "--alphabet", "atleast:100000000000000000000"),
+])
+def test_a_size_past_the_machine_word_is_a_guard_violation(capsys, argv):
+    # Each of these raises OverflowError at once, where a size becomes a
+    # list length or an index.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "too large for this machine" in err
+
+
+def test_a_size_past_the_address_limit_is_a_guard_violation():
+    # Under an 800 MB address limit, set in the child only, each request
+    # fails to allocate its series in about a second.
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    for argv in (("weak", "100000000", "0", "--alphabet", "upto:3"),
+                 ("table", "--n-max", "100000000")):
+        done = _run_module(*argv, preexec_fn=limit_address_space)
+        assert (done.returncode, done.stdout) == (3, ""), argv
+        assert done.stderr == "compcount: too large for this machine: MemoryError()\n", argv
+
+
 def test_exit_code_parse_error(capsys):
     code, out, err = run_cli(capsys, "count", "5", "--alphabet", "upto:x")
     assert code == 2
@@ -367,7 +409,7 @@ def test_each_nonzero_error_exit_code_has_one_class():
         subclasses = seen.pop().__subclasses__()
         classes += subclasses
         seen += subclasses
-    assert sorted(cls.exit_code for cls in classes) == [2, 3, 4]
+    assert sorted(cls.exit_code for cls in classes) == [1, 2, 3, 4]
 
 
 def test_the_guard_is_no_function_argument():
@@ -484,6 +526,7 @@ def _options(*options):
 
 
 # Small or malformed ints: brute-force work stays tiny at every value.
+# Huge ints stay out: `count 10^21` runs on instead of failing.
 _INTS = st.sampled_from([str(i) for i in range(-2, 6)] + ["x", "1.5"])
 _SPECS = st.sampled_from([
     "all", "upto:1", "upto:3", "upto:0", "upto:x", "atleast:2", "atleast:0", "atleast:-1",

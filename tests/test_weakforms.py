@@ -163,6 +163,22 @@ def test_unrestricted_closed_zero_and_negative_targets():
         count_weak_unrestricted_closed(-1, 2)
 
 
+@pytest.mark.parametrize("function,args", [
+    (count_weak_minor_sum, (-1, 2, PartAlphabet.at_least(1))),
+    (count_weak_minor_sum, (3, -1, PartAlphabet.upto(2))),
+    (count_weak_unrestricted_closed, (3, -1)),
+    (fib_block_convolution, (0, 1)),
+    (fib_block_closed, (0, 1)),
+    (adjudicate_fib_block_identity, (0, 1)),
+], ids=["minor-sum-n", "minor-sum-k", "closed-k", "block-convolution-n", "block-closed-n",
+        "adjudicate-max-n"])
+def test_each_route_refuses_arguments_outside_its_domain(function, args):
+    # No other test reaches these checks: verify's grids never pass such
+    # arguments, and the CLI tests give no negative size to these routes.
+    with pytest.raises(DomainError):
+        function(*args)
+
+
 def test_unrestricted_closed_equals_minor_sum_of_the_tailed_band():
     assert count_weak_minor_sum(617, 6, PartAlphabet.at_least(1)) == (
         count_weak_unrestricted_closed(617, 6)
