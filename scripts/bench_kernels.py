@@ -4,13 +4,14 @@
 recurrence: one count c(n) by Bostan-Mori halving, O(log n) polynomial
 products, each one Kronecker-packed big-int multiply; on `upto:3` up to
 n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, and on the wide
-denominator of `upto:1000`. series: the first n + 1 terms of N/D, N's
-prefix divided by D in place (divide_series), O(n*r) for r nonzero lags of
-D, which `table` and the weak counts use; `upto:50` and `upto:2000` take
-the run form of their generating function, whose D has three nonzero
-terms. det: column 0 of the Hessenberg charpoly table, n + 1 cells of one
-addition per nonzero head lag plus one for the band's constant tail (a
-running sum), so O(n) additions for an unbounded alphabet. charpoly: the
+denominator of `upto:1000`. series: the weak series with no zeros, the
+first n + 1 terms of N/D, N divided by D in place (divide_series), O(n*r)
+for r nonzero lags of D, which `table` and the weak counts use; `upto:50`
+and `upto:2000` take the run form of their generating function, whose D
+has three nonzero terms. det: column 0 of the Hessenberg charpoly table,
+n + 1 cells of one addition per nonzero head lag plus one for the band's
+constant tail (a running sum), so O(n) additions for an unbounded
+alphabet. charpoly: the
 whole table, O(n^2) such cells. minors: the weak count with six zeros as
 the sum of order-n minors of the order-(n+6) matrix, a table cut to
 (n+1) * 7 cells.
@@ -61,9 +62,9 @@ import compcount
 from compcount import enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
-from compcount.hessenberg import build_matrix, charpoly, det_hessenberg, minor_sum_subsets
-from compcount.recurrence import count_compositions, divide_series
-from compcount.weakforms import count_weak_convolution, count_weak_minor_sum
+from compcount.hessenberg import (
+    build_matrix, charpoly, count_weak_minor_sum, det_hessenberg, minor_sum_subsets)
+from compcount.recurrence import count_compositions, count_weak_convolution
 
 RUNS = 5
 POINTS = {
@@ -84,13 +85,6 @@ POINTS = {
 }
 
 
-def _series(n, alphabet):
-    num, den = alphabet.generating_function(n + 1)
-    terms = [*num] + [0] * (n + 1 - len(num))
-    divide_series(terms, den)
-    return terms[n]
-
-
 def _brute(size, alphabet):
     enumeration._weak_table.cache_clear()
     if isinstance(size, int):
@@ -100,7 +94,7 @@ def _brute(size, alphabet):
 
 KERNELS = {
     "recurrence": lambda n, a: count_compositions(n, a),
-    "series": _series,
+    "series": lambda n, a: count_weak_convolution(n, 0, a),
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),

@@ -77,10 +77,10 @@ def cmd_count(args):
 def cmd_weak(args):
     n, k, alphabet = args["n"], args["k"], args["alphabet"]
     if args["method"] == "conv":
-        from .weakforms import count_weak_convolution
+        from .recurrence import count_weak_convolution
         yield count_weak_convolution(n, k, alphabet)
     elif args["method"] == "minors":
-        from .weakforms import count_weak_minor_sum
+        from .hessenberg import count_weak_minor_sum
         yield count_weak_minor_sum(n, k, alphabet)
     elif args["method"] == "brute":
         from .enumeration import count_weak_brute
@@ -136,7 +136,7 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
-    from .weakforms import weak_counts
+    from .recurrence import weak_counts
 
     k = args["k"]
     values = weak_counts(args["n-max"], k or 0, args["alphabet"])

@@ -18,7 +18,9 @@ one for the whole tail, whose lags collapse to a running sum of the
 column. Deleting row and column i of such a matrix leaves a
 block-triangular matrix whose diagonal blocks are the order i-1 and order
 n-i matrices of the same band, which is why principal minors factor into
-products of leading determinants.
+products of leading determinants. The sum of all order-n principal
+minors of the order n+k matrix counts the weak compositions of n with
+exactly k zeros, a route that shares no kernel with the weak series.
 
 General dense determinants (submatrices of a Hessenberg matrix need not
 be Hessenberg) go through fraction-free Bareiss elimination: exact
@@ -176,6 +178,15 @@ def minor_sum(band: tuple[int, ...], order: int) -> int:
     for column in _charpoly_columns(band, n - order, order):
         pass  # only the last column is read
     return column[-1]
+
+
+def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
+    """Weak compositions of n with exactly k zeros over ``alphabet``, as the
+    sum of all order-n principal minors of the order n+k matrix, read from
+    that matrix's charpoly table (unguarded)."""
+    if n < 0 or k < 0:
+        raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
+    return minor_sum(build_matrix(alphabet, n + k), n)
 
 
 def grid_lines(band: tuple[int, ...]):

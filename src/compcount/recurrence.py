@@ -10,6 +10,11 @@ polynomial products and without the O(n^2) bits of a prefix. The
 sequence a_{m+1} = c(m) is also exactly the determinant sequence of the
 banded Hessenberg matrices built elsewhere.
 
+A weak composition of n with exactly k zeros is cut by its zeros into
+k+1 (possibly empty) zero-free blocks, so its count is the (k+1)-fold
+convolution of the zero-free counts, [x^n] (N / D)^(k+1): the short
+N^(k+1) divided k + 1 times by D, which ``weak_counts`` reads as a prefix.
+
 Nothing is cached: every call computes from the generating function.
 """
 
@@ -31,6 +36,31 @@ def divide_series(terms: list[int], den) -> None:
             t = terms[m - i] if q == 1 else q * terms[m - i]
             new = new + t if new else t
         terms[m] = new
+
+
+def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
+    """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
+    the first n+1 coefficients of N^(k+1) / D^(k+1), in one list that is
+    multiplied by N k+1 times, then divided by D k+1 times, each O(n r) for
+    the r nonzero lags of D. k = 0 gives the zero-free counts c(0..n)."""
+    if n < 0 or k < 0:
+        raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
+    num, den = alphabet.generating_function(n + 1)
+    terms = [1] + [0] * n
+    for _ in range(k + 1):
+        # Times N, top down to read each term before it changes: N is (1,)
+        # or (1, -1), so N^(k+1) has at most k + 2 terms.
+        for j in range(min(k + 1, n), 0, -1):
+            terms[j] += sum(c * terms[j - i] for i, c in enumerate(num[1 : j + 1], 1))
+    for _ in range(k + 1):
+        divide_series(terms, den)
+    return terms
+
+
+def count_weak_convolution(n: int, k: int, alphabet: PartAlphabet) -> int:
+    """Weak compositions of n with exactly k zeros over ``alphabet``: sum
+    over j_1+...+j_{k+1} = n (j_t >= 0) of prod_t c(j_t), with c(0) = 1."""
+    return weak_counts(n, k, alphabet)[n]
 
 
 def series_term(num, den, n: int) -> int:

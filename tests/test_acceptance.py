@@ -13,20 +13,18 @@ from compcount.enumeration import count_compositions_brute, count_weak_brute
 from compcount.hessenberg import (
     build_matrix,
     charpoly,
+    count_weak_minor_sum,
     det_bareiss,
     det_hessenberg,
     minor_sum_subsets,
 )
-from compcount.recurrence import count_compositions
+from compcount.recurrence import count_compositions, count_weak_convolution
 from compcount.reports import summary
 from compcount.verify import BATTERY, adjudicate_fib_block_identity, check_fib_convolution_identity
 from compcount.weakforms import (
-    count_weak_convolution,
-    count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
     fib_block_closed,
-    fib_block_convolution,
 )
 
 from paper_refs import (
@@ -172,8 +170,9 @@ def test_criterion_10_parts12_closed_form():
 def test_criterion_11_fib_block_identity_adjudication():
     with _Criterion(11, "closed = convolution (n<=10,k<=3); labelled target disagrees at (2,1)"):
         for n in range(1, 11):
+            blocks = [1] + [fibonacci(j) for j in range(1, n + 1)]  # b_0 = 1, b_j = F_j
             for k in range(4):
-                assert fib_block_closed(n, k) == fib_block_convolution(n, k), (n, k)
+                assert fib_block_closed(n, k) == convolution_power(blocks, k + 1, n), (n, k)
         report = adjudicate_fib_block_identity(6, 2)
         internal, oracle, _ = summary(report)
         assert internal, "closed and convolution columns must agree"

@@ -7,8 +7,8 @@ from compcount.alphabet import PartAlphabet
 from compcount import enumeration
 from compcount.enumeration import count_compositions_brute, count_weak_brute, weak_brute_table
 from compcount.errors import DomainError, GuardExceeded
+from compcount.recurrence import weak_counts
 from compcount.verify import BATTERY
-from compcount.weakforms import weak_counts
 
 from paper_refs import count_weak_insertion, enumerate_compositions
 from strategies import alphabets

@@ -23,15 +23,12 @@ import compcount
 from compcount import enumeration
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute, count_weak_brute
-from compcount.hessenberg import build_matrix, det_hessenberg
-from compcount.recurrence import count_compositions
+from compcount.hessenberg import build_matrix, count_weak_minor_sum, det_hessenberg
+from compcount.recurrence import count_compositions, count_weak_convolution
 from compcount.weakforms import (
-    count_weak_convolution,
-    count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
     fib_block_closed,
-    fib_block_convolution,
 )
 
 PACKAGE = Path(compcount.__file__).parent
@@ -61,7 +58,9 @@ ROUTES = {
     "parts12_closed": (lambda a: count_weak_parts12_closed(6, 2),
                        "weakforms.count_weak_parts12_closed"),
     "fib_block_closed": (lambda a: fib_block_closed(6, 2), "weakforms.fib_block_closed"),
-    "fib_block_convolution": (lambda a: fib_block_convolution(6, 2), "recurrence.divide_series"),
+    # thm12's convolution side at (6, 2): the weak series over odd parts
+    "fib_block_convolution": (lambda a: count_weak_convolution(6, 2, PartAlphabet.of(1, 3, 5)),
+                              "recurrence.divide_series"),
     # eq1 at (n, k) = (6, 2) reads both sides at (n - k, k)
     "fib_convolution": (lambda a: count_weak_convolution(4, 2, PartAlphabet.upto(2)),
                         "recurrence.divide_series"),
@@ -172,9 +171,19 @@ def test_importing_the_package_loads_no_submodule():
     assert _loaded_submodules("import compcount") == set()
 
 
-def test_the_determinant_route_loads_neither_series_nor_weak_forms():
-    assert _loaded_submodules("import compcount.hessenberg") == {
-        "compcount.alphabet", "compcount.errors", "compcount.hessenberg"
+# route module: the modules besides itself that it may load
+ROUTE_INPUTS = {
+    "recurrence": {"alphabet", "errors"},
+    "hessenberg": {"alphabet", "errors"},
+    "enumeration": {"alphabet", "errors"},
+    "weakforms": {"errors"},
+}
+
+
+@pytest.mark.parametrize("route", ROUTE_INPUTS)
+def test_a_route_module_loads_no_other_route(route):
+    assert _loaded_submodules(f"import compcount.{route}") == {
+        f"compcount.{name}" for name in {route, *ROUTE_INPUTS[route]}
     }
 
 
@@ -199,6 +208,9 @@ def test_a_count_without_site_loads_neither_collections_nor_functools():
     (("weak", "5", "1"), {"compcount.enumeration", "compcount.reports", "compcount.verify"}),
     (("matrix", "5", "--det"),
      {"compcount.recurrence", "compcount.weakforms", "compcount.enumeration"}),
-], ids=["weak", "matrix-det"])
+    (("table", "--n-max", "5"), {"compcount.hessenberg", "compcount.weakforms"}),
+    (("weak", "5", "1", "--method", "closed"), {"compcount.recurrence", "compcount.hessenberg"}),
+    (("weak", "5", "1", "--method", "minors"), {"compcount.recurrence", "compcount.weakforms"}),
+], ids=["weak", "matrix-det", "table", "weak-closed", "weak-minors"])
 def test_a_command_loads_no_route_it_does_not_run(argv, unused):
     assert _loaded_submodules(_command(*argv)) & unused == set()

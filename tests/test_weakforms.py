@@ -7,7 +7,8 @@ from compcount import verify
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_weak_brute
 from compcount.errors import DomainError, GuardExceeded
-from compcount.recurrence import count_compositions
+from compcount.hessenberg import count_weak_minor_sum
+from compcount.recurrence import count_compositions, count_weak_convolution, weak_counts
 from compcount.reports import GridPoint, Report, summary, to_json, to_text
 from compcount.verify import (
     BATTERY,
@@ -17,13 +18,9 @@ from compcount.verify import (
     run_identity,
 )
 from compcount.weakforms import (
-    count_weak_convolution,
-    count_weak_minor_sum,
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
     fib_block_closed,
-    fib_block_convolution,
-    weak_counts,
 )
 
 from paper_refs import convolution_power, fibonacci, sequence_prefix, to_json_dict
@@ -167,11 +164,9 @@ def test_unrestricted_closed_zero_and_negative_targets():
     (count_weak_minor_sum, (-1, 2, PartAlphabet.at_least(1))),
     (count_weak_minor_sum, (3, -1, PartAlphabet.upto(2))),
     (count_weak_unrestricted_closed, (3, -1)),
-    (fib_block_convolution, (0, 1)),
     (fib_block_closed, (0, 1)),
     (adjudicate_fib_block_identity, (0, 1)),
-], ids=["minor-sum-n", "minor-sum-k", "closed-k", "block-convolution-n", "block-closed-n",
-        "adjudicate-max-n"])
+], ids=["minor-sum-n", "minor-sum-k", "closed-k", "block-closed-n", "adjudicate-max-n"])
 def test_each_route_refuses_arguments_outside_its_domain(function, args):
     # No other test reaches these checks: verify's grids never pass such
     # arguments, and the CLI tests give no negative size to these routes.
@@ -208,27 +203,33 @@ def test_parts12_closed_matches_brute():
 )
 def test_fib_block_point_values(n, k, closed, convolution):
     assert fib_block_closed(n, k) == closed
-    assert fib_block_convolution(n, k) == convolution
+    assert convolution_power(_fib_blocks(n), k + 1, n) == convolution
+
+
+def _fib_blocks(top):
+    """b_0 = 1, b_j = F_j for 1 <= j <= top: F_j counts the compositions
+    of j into odd parts."""
+    return [1] + [fibonacci(j) for j in range(1, top + 1)]
 
 
 def test_fib_block_convolution_with_no_zeros_is_fibonacci():
-    for n in range(1, 12):
-        assert fib_block_convolution(n, 0) == fibonacci(n)
+    # thm12's convolution side at k = 0: the zero-free series over odd parts
+    assert weak_counts(11, 0, PartAlphabet.of(1, 3, 5, 7, 9, 11))[1:] == [
+        fibonacci(n) for n in range(1, 12)
+    ]
 
 
 def test_fib_block_convolution_is_the_literal_convolution():
-    # b_0 = 1, b_j = F_j, convolved directly, against the weak count over
-    # odd parts that the function reads
-    for n in range(1, 16):
-        shifted = [1] + [fibonacci(j) for j in range(1, n + 1)]
-        for k in range(5):
-            assert fib_block_convolution(n, k) == convolution_power(shifted, k + 1, n), (n, k)
+    # b_0 = 1, b_j = F_j, convolved directly, against the convolution side
+    # that thm12 reads from its weak series over odd parts
+    for p in adjudicate_fib_block_identity(15, 4).points:
+        assert p.rhs == convolution_power(_fib_blocks(p.n), p.k + 1, p.n), (p.n, p.k)
 
 
 def test_fib_block_closed_equals_convolution():
     for n in range(1, 11):
         for k in range(4):
-            assert fib_block_closed(n, k) == fib_block_convolution(n, k), (n, k)
+            assert fib_block_closed(n, k) == convolution_power(_fib_blocks(n), k + 1, n), (n, k)
 
 
 def test_adjudication_report_structure():
@@ -388,6 +389,19 @@ def test_thm8_reads_one_weak_series_per_alphabet_and_zero_count(monkeypatch):
     assert sorted(columns, key=repr) == sorted(
         ((7, k, alphabet) for _, alphabet in BATTERY for k in range(3)), key=repr)
     assert all(summary(r)[2] for r in reports)
+
+
+def test_thm12_reads_one_weak_series_per_zero_count(monkeypatch):
+    columns = []
+
+    def weak_column(n, k, alphabet):
+        columns.append((n, k, alphabet))
+        return weak_counts(n, k, alphabet)
+
+    monkeypatch.setattr(verify, "weak_counts", weak_column)
+    (report,) = run_identity("thm12", 7, 2)
+    assert columns == [(7, k, PartAlphabet.of(1, 3, 5, 7)) for k in range(3)]
+    assert all(p.lhs == p.rhs for p in report.points)
 
 
 def test_run_identity_dispatch():
