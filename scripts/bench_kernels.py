@@ -29,15 +29,15 @@ str.translate per part value extends a group, deleting the sequences the
 part does not fit, a zero moves a whole group to one zero fewer, and
 str.count tallies it. So count_compositions_brute(n) on `all` (the weak
 table with no zeros) visits 2^n sequences and weak_brute_table(n, k)
-more, every sequence with sum <= n and at most k zeros. Its table cache
-is cleared before every run. startup: whole `python` processes, alternated round by
-round so that a drift of the machine's load falls on all of them alike: a
-bare interpreter, `import compcount.cli`, `-m compcount count 5` and
-`-m compcount weak 500 5 --alphabet upto:3`; the gap between the first
-two is the package's own start-up, and the gaps after it are the
-requests. The children see this script's environment less
-PYTHONDONTWRITEBYTECODE, so the untimed first run fills the bytecode cache
-and no timed run compiles a module that was just edited.
+more, every sequence with sum <= n and at most k zeros. startup: whole
+`python` processes, alternated round by round so that a drift of the
+machine's load falls on all of them alike: a bare interpreter, `import
+compcount.cli`, `-m compcount count 5` and `-m compcount weak 500 5
+--alphabet upto:3`; the gap between the first two is the package's own
+start-up, and the gaps after it are the requests. The children see this
+script's environment less PYTHONDONTWRITEBYTECODE, so the untimed first
+run fills the bytecode cache and no timed run compiles a module that was
+just edited.
 
 One line per kernel point: the median seconds of 5 timed runs, the
 tracemalloc peak of one more run, and the bit length of the computed value
@@ -59,7 +59,6 @@ import tracemalloc
 from pathlib import Path
 
 import compcount
-from compcount import enumeration
 from compcount.cli import parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import (
@@ -86,7 +85,6 @@ POINTS = {
 
 
 def _brute(size, alphabet):
-    enumeration._weak_table.cache_clear()
     if isinstance(size, int):
         return count_compositions_brute(size, alphabet)
     return weak_brute_table(*size, alphabet)[size[0]][size[1]]

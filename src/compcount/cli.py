@@ -190,9 +190,12 @@ def usage(command=None) -> str:
 
 def _int(text, what, command) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise DomainError(f"{what}: invalid int {text!r}\n{usage(command)}") from None
+    if value > sys.maxsize:  # every int argument sizes work: refused before any runs
+        raise GuardExceeded(f"too large for this machine: {what}={value}")
+    return value
 
 
 def parse_args(argv):

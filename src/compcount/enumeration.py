@@ -15,11 +15,11 @@ string to one zero fewer, and ``str.count`` tallies it. Inputs are guarded
 max_k may not exceed it, and the walk may visit at most 2^max(guard, 25)
 sequences, what ``count 25 --method brute`` visits on ``all``. Exceeding
 either raises instead of truncating, because an oracle must never return
-a wrong count.
+a wrong count. Nothing is cached, so a refusal depends on the arguments
+and the guard alone; ``verify`` shares a grid's walk within one call.
 """
 
 import os
-from functools import lru_cache
 
 from .alphabet import PartAlphabet
 from .errors import DomainError, GuardExceeded
@@ -52,8 +52,7 @@ def count_weak_brute(n: int, k: int, alphabet: PartAlphabet) -> int:
     """Count sequences with exactly ``k`` zero parts and every other part a
     colored alphabet value, summing to ``n``: cell [n][k] of
     ``weak_brute_table(n, k, alphabet)``."""
-    _check_table(n, k)
-    return _weak_table(n, k, alphabet)[n][k]
+    return weak_brute_table(n, k, alphabet)[n][k]
 
 
 def weak_brute_table(
@@ -68,18 +67,13 @@ def weak_brute_table(
     per-part factor. No formula involved. The guard applies to max_n and
     max_k before any work is done, and to the walk's length as it goes.
     """
-    _check_table(max_n, max_k)
-    return _weak_table(max_n, max_k, alphabet)
-
-
-def _check_table(max_n, max_k):
     if max_n < 0 or max_k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={max_n}, k={max_k}")
     _check_guard("n", max_n)
     _check_guard("k", max_k)
+    return _weak_table(max_n, max_k, alphabet)
 
 
-@lru_cache(maxsize=16)
 def _weak_table(max_n, max_k, alphabet):
     parts = alphabet.parts_within(max_n)
     # The walk visits only the sums left to reach that some sequence of

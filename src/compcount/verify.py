@@ -1,6 +1,8 @@
 """Identity verification drivers: evaluate both sides of each identity
 over a small grid, against the brute-force oracle where it claims a count;
 ``_point`` fixes each point's verdict as it puts the point in a report.
+Identities that read the same (grid, alphabet) share its one brute walk
+within a call of ``run_identity``; no table outlives the call.
 
 The fixed alphabet battery below is shared with the test suite; it mixes
 unbounded, bounded, and multi-colored alphabets so every code path sees
@@ -50,29 +52,26 @@ def check_fib_convolution_identity(max_n: int) -> Report:
     )
 
 
-def _oracle_grid(identity, value_fn, max_n, max_k, alphabet, first_n=0, lhs_label="computed"):
-    ns = range(first_n, max_n + 1)
-    # An empty grid reads no brute count, so it meets no guard.
-    brute = weak_brute_table(max_n, max_k, alphabet) if ns else ()
+def _oracle_grid(identity, value_fn, table, first_n=0, lhs_label="computed"):
     points = tuple(
-        _point(n=n, k=k, lhs=value_fn(n, k), rhs=brute[n][k])
-        for n in ns
-        for k in range(max_k + 1)
+        _point(n=n, k=k, lhs=value_fn(n, k), rhs=cell)
+        for n in range(first_n, len(table))
+        for k, cell in enumerate(table[n])
     )
     return Report(
         identity=identity, points=points, lhs_label=lhs_label, rhs_label="brute"
     )
 
 
-def _battery(identity, columns, max_n, max_k) -> list[Report]:
+def _battery(identity, columns, brute, max_n, max_k) -> list[Report]:
     """``columns(alphabet, max_n, max_k)[k][n]`` vs brute weak counts, per
-    battery alphabet; the columns are built when the grid first reads them,
-    after the brute guard."""
+    battery alphabet; an alphabet's brute table is walked before its
+    columns are built, so the guard refuses first."""
     reports = []
     for label, alphabet in BATTERY:
-        table = cache(partial(columns, alphabet, max_n, max_k))
-        reports.append(_oracle_grid(f"{identity}[{label}]", lambda n, k: table()[k][n], max_n,
-                                    max_k, alphabet))
+        table = brute(max_n, max_k, alphabet)
+        built = columns(alphabet, max_n, max_k)
+        reports.append(_oracle_grid(f"{identity}[{label}]", lambda n, k: built[k][n], table))
     return reports
 
 
@@ -124,26 +123,29 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     )
 
 
-# name -> (max_n, max_k) -> reports. thm8 and thm9 run the weak series
-# and the minor-sum routes over the battery: one weak series per k, and
-# the charpoly table of the order max_n + max_k matrix, whose cell n of
-# column k, c_k(n + k), is thm9's count. thm10 (n >= 1) and thm11 set the
-# closed forms for unrestricted parts and for parts {1, 2} against brute.
-# eq1 and thm12 read one weak series per k, over {1, 2} and the odd parts.
+# name -> (brute, max_n, max_k) -> reports, brute being run_identity's
+# shared weak_brute_table. thm8 and thm9 run the weak series and the
+# minor-sum routes over the battery: one weak series per k, and the
+# charpoly table of the order max_n + max_k matrix, whose cell n of column
+# k, c_k(n + k), is thm9's count. thm10 (n >= 1) and thm11 set the closed
+# forms for unrestricted parts and for parts {1, 2} against brute. eq1 and
+# thm12 read one weak series per k, over {1, 2} and the odd parts.
 _REPORT_BUILDERS = {
-    "eq1": lambda max_n, max_k: [check_fib_convolution_identity(max_n)],
+    "eq1": lambda brute, max_n, max_k: [check_fib_convolution_identity(max_n)],
     "thm8": partial(_battery, "thm8", lambda a, max_n, max_k: [
         weak_counts(max_n, k, a) for k in range(max_k + 1)]),
     "thm9": partial(_battery, "thm9", lambda a, max_n, max_k: list(
         _charpoly_columns(build_matrix(a, max_n + max_k), max_k, max_n))),
-    "thm10": lambda max_n, max_k: [_oracle_grid(
-        "thm10", count_weak_unrestricted_closed, max_n, max_k, PartAlphabet.at_least(1),
+    # An empty grid (max_n = 0) reads no brute count, so it meets no guard.
+    "thm10": lambda brute, max_n, max_k: [_oracle_grid(
+        "thm10", count_weak_unrestricted_closed,
+        brute(max_n, max_k, PartAlphabet.at_least(1)) if max_n else (),
         first_n=1, lhs_label="closed",
     )],
-    "thm11": lambda max_n, max_k: [_oracle_grid(
-        "thm11", count_weak_parts12_closed, max_n, max_k, PartAlphabet.upto(2)
+    "thm11": lambda brute, max_n, max_k: [_oracle_grid(
+        "thm11", count_weak_parts12_closed, brute(max_n, max_k, PartAlphabet.upto(2))
     )],
-    "thm12": lambda max_n, max_k: [adjudicate_fib_block_identity(max(max_n, 1), max_k)],
+    "thm12": lambda brute, max_n, max_k: [adjudicate_fib_block_identity(max(max_n, 1), max_k)],
 }
 IDENTITY_NAMES = tuple(_REPORT_BUILDERS)
 
@@ -155,4 +157,5 @@ def run_identity(name: str, max_n: int, max_k: int) -> list[Report]:
     if name != "all" and name not in _REPORT_BUILDERS:
         raise DomainError(f"unknown identity {name!r}")
     names = IDENTITY_NAMES if name == "all" else (name,)
-    return [report for n in names for report in _REPORT_BUILDERS[n](max_n, max_k)]
+    brute = cache(weak_brute_table)  # one walk per (grid, alphabet) in this call
+    return [report for n in names for report in _REPORT_BUILDERS[n](brute, max_n, max_k)]

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per exit criterion, each at its stated grid
 and time budget, printing one pass line (visible with `pytest -s` / `-rA`).
 
-Grids lean on the brute-force oracle; its results are cached inside the
-package, so criteria that share points do not pay twice.
+Grids lean on the brute-force oracle, which caches nothing: each brute
+count is its own walk.
 """
 
 import itertools

@@ -70,7 +70,7 @@ def test_a_run_of_one_color_values_is_its_interval():
 
 @pytest.mark.parametrize("attribute", ["runs", "extra"])
 def test_an_alphabet_cannot_be_changed(attribute):
-    # Alphabets key the brute walk's cache.
+    # Alphabets key verify's sharing of brute walks within a call.
     alphabet = PartAlphabet.upto(2)
     with pytest.raises(AttributeError):
         setattr(alphabet, attribute, ())
@@ -367,13 +367,19 @@ HUGE = "1000000000000000000000"
     ("weak", HUGE, "0", "--method", "closed"),
     ("verify", "--identity", "eq1", "--max-n", HUGE),
     ("count", "100000000000000000000", "--alphabet", "atleast:100000000000000000000"),
+    ("count", HUGE),
+    ("weak", HUGE, "0", "--alphabet", "upto:2", "--method", "closed"),
 ])
-def test_a_size_past_the_machine_word_is_a_guard_violation(capsys, argv):
-    # Each of these raises OverflowError at once, where a size becomes a
-    # list length or an index.
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and "too large for this machine" in err
+def test_a_size_past_the_machine_word_is_a_guard_violation(argv):
+    # An int past sys.maxsize is refused as it is parsed. In a child with a
+    # timeout: count and the closed form on upto:2 would otherwise run on.
+    done = _run_module(*argv)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.count("\n") == 1 and "too large for this machine" in done.stderr
+
+
+def test_an_alphabet_bound_past_the_machine_word_is_no_size(capsys):
+    assert run_cli(capsys, "count", "5", "--alphabet", f"upto:{HUGE}") == (0, "16\n", "")
 
 
 def test_a_size_past_the_address_limit_is_a_guard_violation():
@@ -525,9 +531,9 @@ def _options(*options):
     )
 
 
-# Small or malformed ints: brute-force work stays tiny at every value.
-# Huge ints stay out: `count 10^21` runs on instead of failing.
-_INTS = st.sampled_from([str(i) for i in range(-2, 6)] + ["x", "1.5"])
+# Small or malformed ints: brute-force work stays tiny at every value;
+# and an int past the machine word, which is refused as it is parsed.
+_INTS = st.sampled_from([str(i) for i in range(-2, 6)] + ["x", "1.5", HUGE])
 _SPECS = st.sampled_from([
     "all", "upto:1", "upto:3", "upto:0", "upto:x", "atleast:2", "atleast:0", "atleast:-1",
     "atleast:1000000000000", "1x2,3", "2,7x3", "3,2", "1,1", "1x", "1x0", "0", "x", "", " , ",

@@ -128,42 +128,22 @@ def test_level_walk_equals_insertion_on_colored_multi_run_alphabets(alphabet, ma
     # Every level of a colored alphabet splits by weight and zeros left;
     # each part value extends it through its own translate table, and a
     # zero moves a whole group to one zero fewer.
-    enumeration._weak_table.cache_clear()
     assert weak_brute_table(max_n, max_k, alphabet) == tuple(
         tuple(count_weak_insertion(n, k, alphabet) for k in range(max_k + 1))
         for n in range(max_n + 1)
     )
 
 
-def test_weak_brute_table_cache_is_bounded():
-    walk = enumeration._weak_table
-    for n in range(40):
-        weak_brute_table(n % 8, n // 8, PartAlphabet.upto(2))
-    assert walk.cache_info().currsize <= walk.cache_info().maxsize
-
-
-def test_equal_alphabets_built_differently_share_one_cached_table():
-    enumeration._weak_table.cache_clear()
-    first = weak_brute_table(6, 2, PartAlphabet.of(1, 2))
-    second = weak_brute_table(6, 2, PartAlphabet.upto(2))
-    info = enumeration._weak_table.cache_info()
-    enumeration._weak_table.cache_clear()
-    assert first is second
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
-
 def test_weak_brute_table_allocates_only_for_reachable_sums(monkeypatch):
     # One part value of 200000: only the sums 0 and 200000 are reached, so
     # the other 199999 rows are one shared zero row, not a row each.
     monkeypatch.setenv("COMPCOUNT_GUARD", "300000")
-    enumeration._weak_table.cache_clear()
     tracemalloc.start()
     try:
         table = weak_brute_table(200000, 0, PartAlphabet.of(200000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        enumeration._weak_table.cache_clear()
     assert (table[0], table[200000], len(table)) == ((1,), (1,), 200001)
     assert sum(map(sum, table)) == 2
     assert peak < 5 << 20
@@ -174,11 +154,7 @@ def test_a_walk_past_the_ascii_fast_path_equals_the_series(monkeypatch):
     # the 128 code points of str.translate's ASCII fast path.
     monkeypatch.setenv("COMPCOUNT_GUARD", "200")
     alphabet = PartAlphabet.at_least(40)
-    enumeration._weak_table.cache_clear()
-    try:
-        table = weak_brute_table(200, 2, alphabet)
-    finally:
-        enumeration._weak_table.cache_clear()
+    table = weak_brute_table(200, 2, alphabet)
     assert sum(1 for row in table if any(row)) == 162
     assert [list(column) for column in zip(*table)] == [
         weak_counts(200, k, alphabet) for k in range(3)
@@ -224,6 +200,18 @@ def test_guard_env_override(monkeypatch):
         count_compositions_brute(5, PartAlphabet.upto(2))
     with pytest.raises(GuardExceeded):
         weak_brute_table(5, 2, PartAlphabet.upto(2))
+
+
+def test_a_refusal_does_not_depend_on_earlier_calls(monkeypatch):
+    # Under a default guard of 12 the walk's budget is 2^12 sequences,
+    # fewer than this table needs; a raised guard of 14 lets it through
+    # once, and must not let the same call through again once it is gone.
+    monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 12)
+    monkeypatch.setenv("COMPCOUNT_GUARD", "14")
+    assert weak_brute_table(11, 1, PartAlphabet.at_least(1))[11] == (1024, 7168)
+    monkeypatch.delenv("COMPCOUNT_GUARD")
+    with pytest.raises(GuardExceeded):
+        weak_brute_table(11, 1, PartAlphabet.at_least(1))
 
 
 def test_negative_targets_rejected():

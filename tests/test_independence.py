@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import compcount
-from compcount import enumeration
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute, count_weak_brute
 from compcount.hessenberg import build_matrix, count_weak_minor_sum, det_hessenberg
@@ -37,7 +36,6 @@ ALWAYS_SHARED = ("alphabet.", "errors.")
 
 
 def _brute(alphabet):
-    enumeration._weak_table.cache_clear()  # a cached table would hide the walk
     count_weak_brute(6, 2, alphabet)
     count_compositions_brute(7, alphabet)
 

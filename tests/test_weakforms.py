@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from compcount import verify
 from compcount.alphabet import PartAlphabet
-from compcount.enumeration import count_weak_brute
+from compcount.enumeration import count_weak_brute, weak_brute_table
 from compcount.errors import DomainError, GuardExceeded
 from compcount.hessenberg import count_weak_minor_sum
 from compcount.recurrence import count_compositions, count_weak_convolution, weak_counts
@@ -402,6 +402,21 @@ def test_thm12_reads_one_weak_series_per_zero_count(monkeypatch):
     (report,) = run_identity("thm12", 7, 2)
     assert columns == [(7, k, PartAlphabet.of(1, 3, 5, 7)) for k in range(3)]
     assert all(p.lhs == p.rhs for p in report.points)
+
+
+def test_verify_walks_each_brute_table_once_per_call(monkeypatch):
+    # thm8 and thm9 read the battery's six tables, thm10 and thm11 two of
+    # them again, and thm12 one of its own: seven walks, not fifteen.
+    expected = run_identity("all", 4, 2)
+    walks = []
+
+    def walk(*args):
+        walks.append(args)
+        return weak_brute_table(*args)
+
+    monkeypatch.setattr(verify, "weak_brute_table", walk)
+    assert run_identity("all", 4, 2) == expected
+    assert len(walks) == len(set(walks)) == 7
 
 
 def test_run_identity_dispatch():
