@@ -29,27 +29,39 @@ str.translate per part value extends a group, deleting the sequences the
 part does not fit, a zero moves a whole group to one zero fewer, and
 str.count tallies it. So count_compositions_brute(n) on `all` (the weak
 table with no zeros) visits 2^n sequences and weak_brute_table(n, k)
-more, every sequence with sum <= n and at most k zeros. startup: whole
-`python` processes, alternated round by round so that a drift of the
-machine's load falls on all of them alike: a bare interpreter, `import
-compcount.cli`, `-m compcount count 5` and `-m compcount weak 500 5
---alphabet upto:3`; the gap between the first two is the package's own
-start-up, and the gaps after it are the requests. The children see this
-script's environment less PYTHONDONTWRITEBYTECODE, so the untimed first
-run fills the bytecode cache and no timed run compiles a module that was
-just edited.
+more, every sequence with sum <= n and at most k zeros.
+serialize: the rows of a table as text, by row count and bit length: the
+int series (weak_counts) with str() of every row, against the same series
+seeded with Decimal(1) in the exact context that `table` uses, whose str()
+is linear, and `table`'s own rows (cli.cmd_table), which take one of the
+two by its crossover rule; at points on both sides of the rule, at the
+b-file sizes of the benchmark's big-terms workload and at a 20 000-row
+table. Each point checks that the two renderers give the same bytes.
+startup: whole `python` processes, alternated round by round so that a
+drift of the machine's load falls on all of them alike: a bare
+interpreter, `import compcount.cli`, `-m compcount count 5`, `-m compcount
+weak 500 5 --alphabet upto:3` and `import decimal`; the gap between the
+first two is the package's own start-up, the gaps after it are the
+requests, and the last gap is the import that a table past the crossover
+adds. The children see this script's environment less
+PYTHONDONTWRITEBYTECODE, so the untimed first run fills the bytecode cache
+and no timed run compiles a module that was just edited.
 
 One line per kernel point: the median seconds of 5 timed runs, the
 tracemalloc peak of one more run, and the bit length of the computed value
 (the last term of a series, the constant coefficient of a charpoly, the
 grid's corner cell of a brute table) as a sanity check: c(10^6) on
 `upto:3` has 879146 bits, and every det and charpoly point on `all` at
-order n has n bits, since its value is +-2^(n-1). One line per start-up
+order n has n bits, since its value is +-2^(n-1). One line per serialize
+point: the median seconds of the int rows, the Decimal rows and `table`,
+RUNS runs of each, and the bits of c(n), which the rule reads. One line
+per start-up
 command: the median seconds of STARTUP_RUNS runs, after one untimed run of
 each that fills the bytecode cache.
 """
 
 import argparse
+import decimal
 import os
 import statistics
 import subprocess
@@ -59,11 +71,11 @@ import tracemalloc
 from pathlib import Path
 
 import compcount
-from compcount.cli import parse_alphabet
+from compcount.cli import cmd_table, parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import (
     build_matrix, charpoly, count_weak_minor_sum, det_hessenberg, minor_sum_subsets)
-from compcount.recurrence import count_compositions, count_weak_convolution
+from compcount.recurrence import count_compositions, count_weak_convolution, weak_counts
 
 RUNS = 5
 POINTS = {
@@ -79,6 +91,16 @@ POINTS = {
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000)),
+    # (n-max, k): the crossover on all (its first Decimal row at k = 0 is
+    # 2116), upto:3 and a wide-row alphabet; b-files of 2400-2600 and
+    # 1900-3200 rows; the 20 000-row table.
+    "serialize": (("all", (1000, 0)), ("all", (1500, 0)), ("all", (2000, 0)),
+                  ("all", (2115, 0)), ("all", (2116, 0)), ("all", (3000, 0)), ("all", (2000, 3)), ("all", (3000, 3)),
+                  ("upto:3", (1500, 0)), ("upto:3", (2500, 0)), ("1x2,3", (2500, 0)),
+                  ("1,2x2,5", (2500, 0)), ("atleast:2", (3200, 0)),
+                  ("1x1000000", (100, 0)), ("1x1000000", (200, 0)), ("1x1000000", (200, 10)),
+                  ("1x1000000", (400, 10)), ("upto:13", (2000, 3)), ("upto:3", (300, 3)),
+                  ("upto:3", (20000, 3))),
     "brute": (("all", 16), ("all", 18), ("all", 20), ("all", (10, 3)), ("all", (11, 3)),
               ("all", (12, 3)), ("1x2,3", (16, 3))),
 }
@@ -88,6 +110,29 @@ def _brute(size, alphabet):
     if isinstance(size, int):
         return count_compositions_brute(size, alphabet)
     return weak_brute_table(*size, alphabet)[size[0]][size[1]]
+
+
+def _decimal_counts(n, k, alphabet):
+    with decimal.localcontext(decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])):
+        return weak_counts(n, k, alphabet, one=decimal.Decimal(1))
+
+
+def _serialize(size, alphabet):
+    """Seconds of the int rows' text, the Decimal rows' text and table's
+    rows, after checking that the first two are the same bytes."""
+    texts, seconds = [], []
+    args = {"n-max": size[0], "k": size[1], "alphabet": alphabet, "bfile": True}
+    for render in (lambda: "\n".join(map(str, weak_counts(*size, alphabet))),
+                   lambda: "\n".join(map(str, _decimal_counts(*size, alphabet))),
+                   lambda: "\n".join(cmd_table(args))):
+        started = time.perf_counter()
+        texts.append(render())
+        seconds.append(time.perf_counter() - started)
+    if texts[0] != texts[1]:
+        raise AssertionError(f"the renderers differ at {size} on {alphabet}")
+    return seconds
 
 
 KERNELS = {
@@ -108,6 +153,7 @@ STARTUP = (
     ("count 5", ("-m", "compcount", "count", "5")),
     ("weak 500 5 --alphabet upto:3", ("-m", "compcount", "weak", "500", "5", "--alphabet",
                                       "upto:3")),
+    ("import decimal", ("-c", "import decimal")),
 )
 
 
@@ -144,10 +190,24 @@ def measure_startup() -> dict[str, float]:
     return {name: statistics.median(times) for name, times in seconds.items()}
 
 
+def measure_serialize(spec, size):
+    """One line: the median seconds of each renderer and of table, RUNS
+    runs taking turns, and the bits of the last zero-free count, which the
+    rule reads."""
+    alphabet = parse_alphabet(spec)
+    runs = [_serialize(size, alphabet) for _ in range(RUNS)]
+    int_s, decimal_s, table_s = (statistics.median(r[i] for r in runs) for i in range(3))
+    bits = count_compositions(size[0], alphabet).bit_length()
+    print(f"suite=serialize alphabet={spec} n={size[0]} k={size[1]} int_s={int_s:.4f}"
+          f" decimal_s={decimal_s:.4f} table_s={table_s:.4f} bits={bits}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=sorted(POINTS) + ["startup", "all"], default="all")
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # the serialize suite prints every digit
+        sys.set_int_max_str_digits(0)
 
     if args.suite in ("startup", "all"):
         for name, seconds in measure_startup().items():
@@ -155,6 +215,10 @@ def main(argv=None) -> int:
                   f" runs={STARTUP_RUNS}", flush=True)
     suites = {"all": sorted(POINTS), "startup": []}.get(args.suite, [args.suite])
     for suite in suites:
+        if suite == "serialize":
+            for spec, size in POINTS[suite]:
+                measure_serialize(spec, size)
+            continue
         for spec, size in POINTS[suite]:
             seconds, peak, value = measure(KERNELS[suite], size, parse_alphabet(spec))
             point = f"n={size}" if isinstance(size, int) else "n={} {}={}".format(

@@ -136,15 +136,30 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
-    from .recurrence import weak_counts
+    from .recurrence import count_compositions, weak_counts
 
-    k = args["k"]
-    values = weak_counts(args["n-max"], k or 0, args["alphabet"])
+    n_max, k, alphabet = args["n-max"], args["k"], args["alphabet"]
+    [0] * (n_max + 1)  # refused here, at once, if the machine cannot hold it
+    bits = count_compositions(max(n_max, 0), alphabet).bit_length()
+    # Rows of up to b bits cost about b^2 units a row more as ints (str() is
+    # quadratic below 3.12's cutoff) than as Decimals, which cost 1.5e6 more
+    # per division by D, and 6.3e9 (2.2 ms) for the import: fitted on 3.11 by
+    # scripts/bench_kernels.py --suite serialize.
+    if n_max * (bits * bits - 1_500_000 * ((k or 0) + 1)) > 6_300_000_000:
+        import decimal  # exact: any rounding raises, so no digit can be wrong
+        with decimal.localcontext(decimal.Context(
+                prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])):
+            values = weak_counts(n_max, k or 0, alphabet, one=decimal.Decimal(1))
+    else:
+        values = weak_counts(n_max, k or 0, alphabet)
     sep = " " if args["bfile"] else "," if k is None else f",{k},"
     if not args["bfile"]:
         yield "n,count" if k is None else "n,k,count"
     for n, value in enumerate(values[1:], start=1):
-        yield f"{n}{sep}{value}"
+        # str(): a Decimal formats at half its speed, and -0 (a Decimal
+        # zero times a negative lag of D) prints as 0.
+        yield f"{n}{sep}{(value or 0)!s}"
 
 
 def cmd_help(args):
@@ -263,16 +278,19 @@ def main(argv=None) -> int:
     try:
         handler, args = parse_args(sys.argv[1:] if argv is None else argv)
         for line in handler(args):
-            print(line)
+            sys.stdout.write(f"{line}\n")
     except (CompCountError, MemoryError, OverflowError) as exc:
         if not isinstance(exc, CompCountError):
             exc = GuardExceeded(f"too large for this machine: {exc!r}")
+        sys.stdout.flush()  # stdout is block-buffered: the reports come first
         print(f"compcount: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 
 
 def run():
+    # Blocks, not a write per line, whatever PYTHONUNBUFFERED says.
+    sys.stdout.reconfigure(line_buffering=False, write_through=False)
     try:
         code = main()
         sys.stdout.flush()

@@ -38,15 +38,17 @@ def divide_series(terms: list[int], den) -> None:
         terms[m] = new
 
 
-def weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list[int]:
+def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
     """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
     the first n+1 coefficients of N^(k+1) / D^(k+1), in one list that is
     multiplied by N k+1 times, then divided by D k+1 times, each O(n r) for
-    the r nonzero lags of D. k = 0 gives the zero-free counts c(0..n)."""
+    the r nonzero lags of D. k = 0 gives the zero-free counts c(0..n). The
+    kernel only adds, multiplies by small ints and tests truth, so a seed
+    ``one`` = Decimal(1) in an exact context gives the counts as Decimals."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     num, den = alphabet.generating_function(n + 1)
-    terms = [1] + [0] * n
+    terms = [one] + [0] * n
     for _ in range(k + 1):
         # Times N, top down to read each term before it changes: N is (1,)
         # or (1, -1), so N^(k+1) has at most k + 2 terms.

@@ -6,7 +6,11 @@ count is its own walk.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute, count_weak_brute
@@ -26,6 +30,8 @@ from compcount.weakforms import (
     count_weak_unrestricted_closed,
     fib_block_closed,
 )
+
+from residues import residue, weak_residues
 
 from paper_refs import (
     convolution_power,
@@ -202,3 +208,26 @@ def test_criterion_13_performance_smoke():
         value = count_compositions(10_000, ALL_PARTS)
         assert value == 2 ** 9_999
         assert len(str(value)) == len(str(2 ** 9_999)) == 3010
+
+
+def test_criterion_14_a_big_table_prints_every_row_exactly():
+    # 20 001 rows of up to 17 600 bits, 53 MB of text: str() of each row as
+    # the reference would cost seconds, so each row is read by its residue.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["table", "--n-max", "20000", "--k", "3", "--alphabet", "upto:3"]
+    with _Criterion(14, "table --n-max 20000 --k 3 --alphabet upto:3 in < 2.5 s,"
+                        " every row checked by its residue", 15.0):
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "compcount", *argv], capture_output=True,
+                              env=env, timeout=60)
+        elapsed = time.perf_counter() - started
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert elapsed < 2.5, f"the table took {elapsed:.2f}s"
+        header, *rows = done.stdout.decode().splitlines()
+        want = weak_residues(20_000, 3, PartAlphabet.upto(3))
+        assert header == "n,k,count" and len(rows) == 20_000
+        for n, row in enumerate(rows, start=1):
+            index, k, count = row.split(",")
+            assert (int(index), k, residue(count)) == (n, "3", want[n]), row

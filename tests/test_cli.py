@@ -9,17 +9,20 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compcount import cli, enumeration, hessenberg, verify
 from compcount.alphabet import PartAlphabet
 from compcount.cli import main, parse_alphabet
 from compcount.errors import CompCountError, DomainError
+from compcount.recurrence import weak_counts
 
 from paper_refs import dense_matrix, format_matrix
-from strategies import alphabets
+from residues import residue, weak_residues
+from strategies import alphabets, margins, run_form_margin
 
 
 def run_cli(capsys, *argv):
@@ -295,19 +298,24 @@ def test_verify_past_the_guard_is_refused_before_any_grid_work(capsys):
     assert "guard" in err
 
 
+def _module_env(**variables):
+    """The environment of a child that runs this checkout's package, less
+    COMPCOUNT_GUARD and PYTHONUNBUFFERED, plus ``variables``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("COMPCOUNT_GUARD", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **variables}
+
+
 def _run_module(*argv, guard=None, text=True, preexec_fn=None):
     """``python -m compcount`` on ``argv``, with COMPCOUNT_GUARD=``guard``
     if given, against this checkout's package; stdout and stderr as str,
     or as bytes if not ``text``; ``preexec_fn`` runs in the child before
     it starts. Without PYTHONUNBUFFERED, so that stdout is block-buffered,
     as a pipe from a shell is, and a lost flush shows."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("COMPCOUNT_GUARD", None)
-    env.pop("PYTHONUNBUFFERED", None)
-    if guard is not None:
-        env["COMPCOUNT_GUARD"] = str(guard)
+    env = _module_env() if guard is None else _module_env(COMPCOUNT_GUARD=str(guard))
     return subprocess.run([sys.executable, "-m", "compcount", *argv], capture_output=True,
                           text=text, env=env, timeout=60, preexec_fn=preexec_fn)
 
@@ -329,6 +337,21 @@ def test_the_console_entry_flushes_every_byte_before_it_exits(capsys):
     disagreed = _run_module(*argv)
     assert (disagreed.returncode, disagreed.stdout) == (1, out) and code == 1
     assert disagreed.stderr == "compcount: 5 disagreeing grid point(s) found\n"
+
+
+@pytest.mark.parametrize("variables", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "PYTHONUNBUFFERED"])
+def test_the_disagreement_line_follows_the_reports_on_a_merged_stream(capsys, variables):
+    # `compcount verify ... 2>&1`: the console entry writes stdout in
+    # blocks whatever PYTHONUNBUFFERED says, so the stderr line must wait
+    # for the reports before it.
+    argv = ("verify", "--identity", "thm12", "--max-n", "3", "--max-k", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    done = subprocess.run([sys.executable, "-m", "compcount", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, env=_module_env(**variables),
+                          timeout=60)
+    assert (code, done.returncode) == (1, 1)
+    assert done.stdout == out + "compcount: 5 disagreeing grid point(s) found\n"
 
 
 def test_brute_walk_deeper_than_the_recursion_limit_answers():
@@ -607,6 +630,71 @@ def test_a_closed_stdout_pipe_ends_quietly_with_exit_zero():
         child.kill()
         child.stderr.close()
     assert err == b""
+
+
+def _table(alphabet, n_max, k=None):
+    """What ``table`` prints for these arguments, without a trailing newline."""
+    return "\n".join(cli.cmd_table({"alphabet": alphabet, "n-max": n_max, "k": k,
+                                     "bfile": False}))
+
+
+def _str_of_the_int_series(alphabet, n_max, k=None):
+    sep = "," if k is None else f",{k},"
+    return "\n".join(["n,count" if k is None else "n,k,count"] + [
+        f"{n}{sep}{value}" for n, value in enumerate(weak_counts(n_max, k or 0, alphabet)[1:], 1)])
+
+
+def _renders_in_decimal(alphabet, n_max, k=None):
+    """Whether ``table`` seeds its series with a Decimal for these arguments:
+    the series is stubbed, so only the rule runs."""
+    seeds = []
+
+    def series(n, k, alphabet, one=1):
+        seeds.append(one)
+        return [one] * (n + 1)
+
+    with mock.patch("compcount.recurrence.weak_counts", series):
+        next(cli.cmd_table({"alphabet": alphabet, "n-max": n_max, "k": k, "bfile": False}))
+    return type(seeds[0]).__name__ == "Decimal"
+
+
+@pytest.mark.parametrize("bits", [0, 1 << 20], ids=["int", "decimal"])
+@settings(max_examples=60, deadline=None)
+@given(alphabets(), st.integers(1, 60), st.none() | st.integers(0, 4), margins)
+# A run form with a negative lag times a zero count: -0 in Decimal.
+@example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, None, 5)
+def test_a_table_prints_str_of_the_int_series_on_either_path(bits, alphabet, n_max, k, margin):
+    # The rule reads the bits of the last zero-free count: 0 bits keep the
+    # int series, 2^20 bits take the Decimal one.
+    with run_form_margin(margin), mock.patch("compcount.recurrence.count_compositions",
+                                             lambda *_: (1 << bits) >> 1):
+        assert _renders_in_decimal(alphabet, n_max, k) == (bits > 0)
+        assert _table(alphabet, n_max, k) == _str_of_the_int_series(alphabet, n_max, k)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_tables_either_side_of_the_crossover_print_str_of_the_int_series(k):
+    # On `all`, c(n) = 2^(n - 1) has n bits; the rule is monotone in n past
+    # its root, so bisection finds the first n-max it renders in Decimal.
+    alphabet = PartAlphabet.at_least(1)
+    below, first = 1, 10**5
+    assert not _renders_in_decimal(alphabet, below, k) and _renders_in_decimal(alphabet, first, k)
+    while first - below > 1:
+        middle = (below + first) // 2
+        below, first = (below, middle) if _renders_in_decimal(alphabet, middle, k) else (
+            middle, first)
+    for n_max in (below, first):
+        assert _table(alphabet, n_max, k) == _str_of_the_int_series(alphabet, n_max, k)
+
+
+def test_the_residue_check_fails_on_any_changed_digit():
+    row = _table(PartAlphabet.upto(3), 300, 3).rsplit("\n", 1)[1]
+    count = row.split(",")[2]
+    want = weak_residues(300, 3, PartAlphabet.upto(3))[300]
+    assert residue(count) == want and len(count) > 80
+    for i, digit in enumerate(count):
+        for other in "0123456789".replace(digit, ""):
+            assert residue(count[:i] + other + count[i + 1:]) != want, (i, other)
 
 
 def test_minor_subsets_past_the_guard_are_refused_before_the_matrix_is_built(capsys):

@@ -190,8 +190,16 @@ def test_a_count_loads_only_the_recurrence_and_no_heavy_standard_module():
     assert {name for name in loaded if name.startswith("compcount.")} == {
         "compcount.cli", "compcount.errors", "compcount.alphabet", "compcount.recurrence"
     }
-    heavy = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
+    heavy = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale", "decimal"}
     assert loaded & heavy == set()
+
+
+def test_a_table_loads_decimal_only_past_the_crossover():
+    # On `all`, c(n) = 2^(n - 1) has n bits, and the rule's crossover lies
+    # between 2000 and 3000 rows (test_cli pins it to one row).
+    for n_max in ("5", "2000"):
+        assert "decimal" not in _loaded_modules(_command("table", "--n-max", n_max))
+    assert "decimal" in _modules_after(_command("table", "--n-max", "3000"))
 
 
 def test_a_count_without_site_loads_neither_collections_nor_functools():
