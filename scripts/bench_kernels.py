@@ -14,14 +14,11 @@ constant tail (a running sum), so O(n) additions for an unbounded
 alphabet. charpoly: the
 whole table, O(n^2) such cells. minors: the weak count with six zeros as
 the sum of order-n minors of the order-(n+6) matrix, a table cut to
-(n+1) * 7 cells.
-subsets: the sum of the order-r principal minors of the order-n matrix by
-every index subset, C(n, r) Bareiss determinants of order r read from one
-dense grid, which `matrix --minorsum` runs under its subset guard. conv:
-weak counts with two zeros as the series of N^3 / D^3, N^3 divided three
-times by D in place, O(n * r) for r nonzero lags of D, on `all`, on the
-wide intervals `upto:50` and `upto:2000` (run form), and on the dense
-bounded `upto:3`, `1x2,3`, `upto:13` and unbounded `atleast:5`.
+(n+1) * 7 cells. conv: weak counts with two zeros as the series of
+N^3 / D^3, N^3 divided three times by D in place, O(n * r) for r nonzero
+lags of D, on `all`, on the wide intervals `upto:50` and `upto:2000` (run
+form), and on the dense bounded `upto:3`, `1x2,3`, `upto:13` and
+unbounded `atleast:5`.
 brute: the brute-force oracle, which walks by levels: every sequence of
 one length is one character of a string, the sum it leaves, grouped by
 the product of its parts' colors and its zeros left; one 1:1
@@ -74,7 +71,7 @@ import compcount
 from compcount.cli import cmd_table, parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import (
-    build_matrix, charpoly, count_weak_minor_sum, det_hessenberg, minor_sum_subsets)
+    build_matrix, charpoly, count_weak_minor_sum, det_hessenberg)
 from compcount.recurrence import count_compositions, count_weak_convolution, weak_counts
 
 RUNS = 5
@@ -87,7 +84,6 @@ POINTS = {
     "det": (("all", 10000), ("all", 20000), ("all", 40000)),
     "charpoly": (("all", 250), ("all", 500), ("all", 1000)),
     "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
-    "subsets": (("all", (13, 6)), ("all", (15, 7))),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000)),
@@ -141,7 +137,6 @@ KERNELS = {
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": lambda n, a: count_weak_minor_sum(n, 6, a),
-    "subsets": lambda size, a: minor_sum_subsets(build_matrix(a, size[0]), size[1]),
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
     "brute": _brute,
 }
@@ -221,8 +216,7 @@ def main(argv=None) -> int:
             continue
         for spec, size in POINTS[suite]:
             seconds, peak, value = measure(KERNELS[suite], size, parse_alphabet(spec))
-            point = f"n={size}" if isinstance(size, int) else "n={} {}={}".format(
-                size[0], "r" if suite == "subsets" else "k", size[1])
+            point = f"n={size}" if isinstance(size, int) else f"n={size[0]} k={size[1]}"
             print(f"suite={suite} alphabet={spec} {point} median_s={seconds:.4f}"
                   f" peak_mb={peak / 2**20:.2f} bits={value.bit_length()}", flush=True)
     return 0

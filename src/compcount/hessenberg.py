@@ -21,19 +21,10 @@ n-i matrices of the same band, which is why principal minors factor into
 products of leading determinants. The sum of all order-n principal
 minors of the order n+k matrix counts the weak compositions of n with
 exactly k zeros, a route that shares no kernel with the weak series.
-
-General dense determinants (submatrices of a Hessenberg matrix need not
-be Hessenberg) go through fraction-free Bareiss elimination: exact
-integer arithmetic, divisions that are provably exact, row swaps with
-sign tracking for zero pivots.
 """
 
-from itertools import combinations
-
 from .alphabet import PartAlphabet, runs
-from .errors import DomainError, GuardExceeded
-
-SUBSET_GUARD = 22
+from .errors import DomainError
 
 
 def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
@@ -46,15 +37,6 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
     for value, colors in alphabet.parts_within(n):
         band[value - 1] = colors
     return tuple(band)
-
-
-def _rows(band, zero=0, minus_one=-1):
-    """The order-n grid of ``band``, row by row. It is Toeplitz: row i, from
-    0, is the window [n - i, 2n - i) of one line: n - 1 zeros, -1, the band."""
-    n = len(band)
-    line = [zero] * (n - 1) + [minus_one, *band]
-    for i in range(n):
-        yield line[n - i : 2 * n - i]
 
 
 def _charpoly_columns(band: tuple[int, ...], last: int, width: int):
@@ -102,58 +84,6 @@ def det_hessenberg(band: tuple[int, ...]) -> int:
     return next(_charpoly_columns(band, 0, len(band)))[-1]
 
 
-def det_bareiss(rows) -> int:
-    """Exact determinant of a dense integer matrix by single-step
-    fraction-free elimination; the empty matrix has determinant 1."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DomainError("matrix must be square")
-    sign = 1
-    previous_pivot = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for row in range(col + 1, n):
-                if m[row][col]:
-                    m[col], m[row] = m[row], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[col][col]
-        for row in range(col + 1, n):
-            factor = m[row][col]
-            target = m[row]
-            source = m[col]
-            for c in range(col + 1, n):
-                target[c] = (target[c] * pivot - factor * source[c]) // previous_pivot
-            target[col] = 0
-        previous_pivot = pivot
-    return sign * m[n - 1][n - 1] if n else 1
-
-
-def check_minor_subsets(n: int, order: int):
-    """Refuse what minor_sum_subsets would refuse for an order-n matrix,
-    before the matrix is built: an order the guard refuses may not fit in
-    memory."""
-    if not 0 <= order <= n:
-        raise DomainError(f"minor order must be within 0..{n}, got {order}")
-    if n > SUBSET_GUARD:
-        raise GuardExceeded(f"matrix order {n} exceeds the subset guard {SUBSET_GUARD}")
-
-
-def minor_sum_subsets(band: tuple[int, ...], order: int) -> int:
-    """Sum of all order-``order`` principal minors, by expanding every
-    index subset of the dense grid. Exponential; refused past SUBSET_GUARD."""
-    n = len(band)
-    check_minor_subsets(n, order)
-    dense = list(_rows(band))
-    return sum(
-        det_bareiss([[dense[i][j] for j in kept] for i in kept])
-        for kept in combinations(range(n), order)
-    )
-
-
 def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the characteristic polynomial det(xI - M), monic of
     degree n, ascending: the coefficient of x^i is (-1)^(n-i) c_i(n), read
@@ -167,14 +97,19 @@ def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
+def check_minor_order(n: int, order: int):
+    """Refuse a minor order outside 0..n for an order-n matrix."""
+    if not 0 <= order <= n:
+        raise DomainError(f"minor order must be within 0..{n}, got {order}")
+
+
 def minor_sum(band: tuple[int, ...], order: int) -> int:
     """Sum of all order-``order`` principal minors, c_{n-r}(n) for
     r = ``order``, from the first n-r+1 columns of the charpoly table cut
     to r+1 cells each: (n-r+1) * (r+1) cells, each one addition per
     nonzero head lag plus one for a constant tail; unguarded."""
     n = len(band)
-    if not 0 <= order <= n:
-        raise DomainError(f"minor order must be within 0..{n}, got {order}")
+    check_minor_order(n, order)
     for column in _charpoly_columns(band, n - order, order):
         pass  # only the last column is read
     return column[-1]
@@ -190,9 +125,13 @@ def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
 
 
 def grid_lines(band: tuple[int, ...]):
-    """The dense grid as text, one row at a time, entries space-separated."""
-    for row in _rows([str(v) for v in band], "0", "-1"):
-        yield " ".join(row)
+    """The dense grid as text, one row at a time, entries space-separated.
+    It is Toeplitz: row i, from 0, is the window [n - i, 2n - i) of one
+    line: n - 1 zeros, -1, the band."""
+    n = len(band)
+    line = ["0"] * (n - 1) + ["-1", *map(str, band)]
+    for i in range(n):
+        yield " ".join(line[n - i : 2 * n - i])
 
 
 def parse_matrix(text: str) -> list[list[int]]:

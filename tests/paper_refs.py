@@ -2,10 +2,11 @@
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
 prefix of counts by the recurrence itself, the counting matrix written out
-entry by entry from its band, its principal minors, by elimination and as
-products of counts, a stream of every colored composition, with the
-weak counts it gives by inserting zeros, that checks the brute walk, and
-a report as the dict whose json.dumps the JSON renderer must print."""
+entry by entry from its band, its principal minors, by fraction-free
+(Bareiss) elimination and as products of counts, their sums of a fixed
+order by expanding every index subset, a stream of every colored
+composition, with the weak counts it gives by inserting zeros, that
+checks the brute walk, and a report as the dict whose json.dumps the JSON renderer must print."""
 
 import itertools
 import math
@@ -14,7 +15,6 @@ from collections import Counter
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import _check_guard
 from compcount.errors import DomainError
-from compcount.hessenberg import det_bareiss
 
 
 def fibonacci(i: int) -> int:
@@ -113,6 +113,38 @@ def dense_matrix(band) -> list[list[int]]:
     return rows
 
 
+def det_bareiss(rows) -> int:
+    """Exact determinant of a dense integer matrix by single-step
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every
+    division is exact, and a zero pivot swaps rows and flips the sign. The
+    empty matrix has determinant 1."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DomainError("matrix must be square")
+    sign = 1
+    previous_pivot = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            for row in range(col + 1, n):
+                if m[row][col]:
+                    m[col], m[row] = m[row], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[col][col]
+        for row in range(col + 1, n):
+            factor = m[row][col]
+            target = m[row]
+            source = m[col]
+            for c in range(col + 1, n):
+                target[c] = (target[c] * pivot - factor * source[c]) // previous_pivot
+            target[col] = 0
+        previous_pivot = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
 def principal_minor(band, deleted) -> int:
     """Determinant of the submatrix of the matrix of ``band`` retaining the
     rows and columns not in ``deleted`` (1-indexed); deleting everything
@@ -122,6 +154,19 @@ def principal_minor(band, deleted) -> int:
     retained = [i for i in range(n) if i + 1 not in indices]
     dense = dense_matrix(band)
     return det_bareiss([[dense[i][j] for j in retained] for i in retained])
+
+
+def minor_sum_subsets(band, order: int) -> int:
+    """Sum of all order-``order`` principal minors of the matrix of ``band``,
+    one Bareiss determinant per index subset: C(n, order) of them."""
+    n = len(band)
+    if not 0 <= order <= n:
+        raise DomainError(f"minor order must be within 0..{n}, got {order}")
+    dense = dense_matrix(band)
+    return sum(
+        det_bareiss([[dense[i][j] for j in kept] for i in kept])
+        for kept in itertools.combinations(range(n), order)
+    )
 
 
 def _value_sequences(n: int, alphabet: PartAlphabet):

@@ -18,9 +18,7 @@ from compcount.hessenberg import (
     build_matrix,
     charpoly,
     count_weak_minor_sum,
-    det_bareiss,
     det_hessenberg,
-    minor_sum_subsets,
 )
 from compcount.recurrence import count_compositions, count_weak_convolution
 from compcount.reports import summary
@@ -36,9 +34,11 @@ from residues import residue, weak_residues
 from paper_refs import (
     convolution_power,
     dense_matrix,
+    det_bareiss,
     fibonacci,
     kstep_fibonacci,
     minor_product_formula,
+    minor_sum_subsets,
     principal_minor,
     sequence_prefix,
 )

@@ -20,7 +20,7 @@ from compcount.cli import main, parse_alphabet
 from compcount.errors import CompCountError, DomainError
 from compcount.recurrence import weak_counts
 
-from paper_refs import dense_matrix, format_matrix
+from paper_refs import dense_matrix, format_matrix, minor_sum_subsets
 from residues import residue, weak_residues
 from strategies import alphabets, margins, run_form_margin
 
@@ -168,6 +168,24 @@ def test_the_grid_printed_row_by_row_is_the_dense_grid(capsys):
             code, out, _ = run_cli(capsys, "matrix", str(n), "--alphabet", label)
             dense = dense_matrix(hessenberg.build_matrix(alphabet, n))
             assert (code, out) == (0, format_matrix(dense) + "\n"), (label, n)
+
+
+def test_minor_sums_printed_are_the_subset_expansion(capsys):
+    for label, alphabet in verify.BATTERY:
+        for n in range(1, 11):
+            band = hessenberg.build_matrix(alphabet, n)
+            for r in range(n + 1):
+                code, out, _ = run_cli(capsys, "matrix", str(n), "--minorsum", str(r),
+                                       "--alphabet", label)
+                assert (code, out) == (0, f"{minor_sum_subsets(band, r)}\n"), (label, n, r)
+
+
+def test_the_minor_sum_at_the_order_limit_counts_weak_compositions(capsys):
+    # Order-11 minors of the order-22 matrix: weak compositions of 11 with
+    # 11 zeros.
+    code, out, _ = run_cli(capsys, "matrix", "22", "--minorsum", "11")
+    assert (code, out) == run_cli(capsys, "weak", "11", "11")[:2]
+    assert code == 0
 
 
 def test_the_grid_is_printed_in_memory_linear_in_its_order():
@@ -420,6 +438,17 @@ def test_a_size_past_the_address_limit_is_a_guard_violation():
         assert done.stderr == "compcount: too large for this machine: MemoryError()\n", argv
 
 
+@pytest.mark.parametrize("argv,code,lines", [(("count", "5"), 0, 0), (("count", HUGE), 3, 1)],
+                         ids=["answer", "refusal"])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code, lines):
+    # `compcount count 5 >&-`: fd 1 is closed in the child before it starts,
+    # so its output goes nowhere and its exit code is the command's own.
+    done = _run_module(*argv, preexec_fn=lambda: os.close(1))
+    assert done.returncode == code
+    assert done.stderr.count("\n") == lines and "Traceback" not in done.stderr
+    assert done.stderr.count("compcount: ") == lines
+
+
 def test_exit_code_parse_error(capsys):
     code, out, err = run_cli(capsys, "count", "5", "--alphabet", "upto:x")
     assert code == 2
@@ -443,7 +472,7 @@ def test_each_nonzero_error_exit_code_has_one_class():
 
 def test_the_guard_is_no_function_argument():
     # The guard comes from COMPCOUNT_GUARD (brute oracle) or the constant
-    # hessenberg.SUBSET_GUARD alone, never from a caller.
+    # cli.SUBSET_GUARD alone, never from a caller.
     for module in (enumeration, hessenberg, verify):
         functions = [f for f in vars(module).values()
                      if inspect.isfunction(f) and f.__module__ == module.__name__]
@@ -685,6 +714,22 @@ def test_tables_either_side_of_the_crossover_print_str_of_the_int_series(k):
             middle, first)
     for n_max in (below, first):
         assert _table(alphabet, n_max, k) == _str_of_the_int_series(alphabet, n_max, k)
+
+
+def test_the_renderer_rule_reads_a_row_that_can_be_nonzero():
+    # On 2x1000000 every odd row is 0: n-max 2001 must be judged by row 2000,
+    # as n-max 2000 is, in a fresh child so that a loaded decimal shows.
+    alphabet = PartAlphabet.of((2, 1000000))
+    script = ("import sys; from compcount.cli import main; main(sys.argv[1:]);"
+              " print('decimal' in sys.modules, file=sys.stderr)")
+    loaded = []
+    for n_max in (2000, 2001):
+        done = subprocess.run(
+            [sys.executable, "-c", script, "table", "--alphabet", "2x1000000", "--n-max",
+             str(n_max)], capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert done.stdout == _str_of_the_int_series(alphabet, n_max) + "\n"
+        loaded.append(done.stderr)
+    assert loaded[0] == loaded[1] and loaded[0] in ("True\n", "False\n")
 
 
 def test_the_residue_check_fails_on_any_changed_digit():
