@@ -3,15 +3,17 @@
 
 recurrence: one count c(n) by Bostan-Mori halving, O(log n) polynomial
 products, each one Kronecker-packed big-int multiply; on `upto:3` up to
-n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, and on the wide
-denominator of `upto:1000`. series: the weak series with no zeros, the
+n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, on the wide
+denominator of `upto:1000`, and on `upto:1000000000` at n = 10^5, whose D
+ends at its last term below x^(n+1), so it halves the two terms of all's D
+and costs what `all` costs. series: the weak series with no zeros, the
 first n + 1 terms of N/D, N divided by D in place (divide_series), O(n*r)
 for r nonzero lags of D, which `table` and the weak counts use; `upto:50`
 and `upto:2000` take the run form of their generating function, whose D
-has three nonzero terms. det: column 0 of the Hessenberg charpoly table,
-n + 1 cells of one addition per nonzero head lag plus one for the band's
-constant tail (a running sum), so O(n) additions for an unbounded
-alphabet. charpoly: the whole table, O(n^2) such cells. minors: the weak
+has three nonzero terms. det: the band, filled one slice per run of the
+alphabet, then column 0 of the Hessenberg charpoly table, n + 1 cells of
+one addition per nonzero head lag plus one for the band's constant tail
+(a running sum), so O(n) additions for an unbounded alphabet. charpoly: the whole table, O(n^2) such cells. minors: the weak
 count with six zeros as the sum of order-n minors of the order-(n+6)
 matrix, a table cut to (n+1) * 7 cells. conv: weak counts with two zeros
 as the series of N^3 / D^3, N^3 divided three times by D in place,
@@ -51,7 +53,8 @@ failure is one `bench_kernels:` line on stderr, and the exit status is 1:
   `all` without k, has n bits: c(n) = 2^(n-1), and so are the order-n
   determinant and charpoly constant term up to sign;
 - a point with a third entry in POINTS has that many bits: c(10^6) on
-  `upto:3` has 879146;
+  `upto:3` has 879146, and c(10^5) on `upto:1000000000`, 2^(10^5 - 1),
+  has 10^5;
 - at every serialize point the int and Decimal rows are the same bytes.
 """
 
@@ -76,7 +79,8 @@ RUNS = 5
 POINTS = {
     "recurrence": (("upto:3", 10**4), ("upto:3", 10**5), ("upto:3", 10**6, 879146),
                    ("upto:4", 2 * 10**5), ("upto:8", 2 * 10**5), ("upto:13", 2 * 10**5),
-                   ("upto:32", 2 * 10**5), ("upto:1000", 5000)),
+                   ("upto:32", 2 * 10**5), ("upto:1000", 5000),
+                   ("upto:1000000000", 10**5, 100000)),
     "series": (("all", 5000), ("all", 10000), ("all", 20000), ("upto:20", 10000),
                ("upto:50", 10000), ("upto:2000", 10000)),
     "det": (("all", 10000), ("all", 20000), ("all", 40000)),

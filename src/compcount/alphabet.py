@@ -87,8 +87,9 @@ class PartAlphabet(tuple):
     def generating_function(self, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x), in the run form
         if the margin allows it (an open run has infinitely many dense terms).
-        D is cut modulo x^length, which keeps c(0..length-1) and keeps a
-        huge part value from allocating a huge D."""
+        D holds the form's terms below x^length, so c(0..length-1) hold, and
+        ends at the last, none being 0: a run past x^length costs what an
+        open run costs, and a huge part value allocates nothing."""
         edges = {0: 1, 1: -1}
         for first, last, colors in self.runs:
             edges[first] = edges.get(first, 0) - colors
@@ -97,14 +98,12 @@ class PartAlphabet(tuple):
         values = sum(float("inf") if last is None else last - first + 1
                      for first, last, _ in self.runs)
         if RUN_FORM_MARGIN * (2 + len(edges)) <= 2 + values:
-            num, top, terms = (1, -1), max(edges), edges.items()
+            num, terms = (1, -1), [(p, c) for p, c in edges.items() if p < length]
         else:
-            num, top = (1,), self.runs[-1][1]
-            terms = [(0, 1)] + [(v, -q) for v, q in self.parts_within(length - 1)]
-        den = [0] * (min(top, length - 1) + 1)
+            num, terms = (1,), [(0, 1), *((v, -q) for v, q in self.parts_within(length - 1))]
+        den = [0] * (max(power for power, _ in terms) + 1)
         for power, coefficient in terms:
-            if power < length:
-                den[power] += coefficient
+            den[power] = coefficient
         return num, tuple(den)
 
     def parts_within(self, limit: int) -> tuple[tuple[int, int], ...]:

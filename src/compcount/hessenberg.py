@@ -28,14 +28,14 @@ from .errors import DomainError
 
 
 def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
-    """Band of the order-n matrix (n >= 0) for the alphabet: its color
-    multiplicities, value d at lag d; its determinant counts compositions
-    of n."""
+    """Band of the order-n matrix (n >= 0): the alphabet's color
+    multiplicities, value d at lag d, one slice per run cut at n (so a run
+    past n costs what an open run costs); its determinant counts c(n)."""
     if n < 0:
         raise DomainError(f"matrix order must be >= 0, got {n}")
     band = [0] * n
-    for value, colors in alphabet.parts_within(n):
-        band[value - 1] = colors
+    for first, last, colors in alphabet.runs:
+        band[first - 1 : last] = [colors] * (min(n, last or n) - first + 1)
     return tuple(band)
 
 

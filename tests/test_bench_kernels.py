@@ -29,6 +29,12 @@ def test_the_recurrence_suite_pins_its_largest_count():
     assert ("upto:3", 10**6, 879146) in bench_kernels.POINTS["recurrence"]
 
 
+def test_the_recurrence_suite_pins_the_interval_wider_than_n():
+    # c(10^5) on upto:10^9 is 2^(10^5 - 1): a D padded to x^n would show in
+    # the point's time, and a wrong count in its bits.
+    assert ("upto:1000000000", 10**5, 100000) in bench_kernels.POINTS["recurrence"]
+
+
 @pytest.mark.parametrize("value,code,failures", [(1 << 4, 0, 0), (1 << 5, 1, 1)],
                          ids=["right", "one-bit-over"])
 def test_the_suite_exits_1_with_one_stderr_line_per_failure(monkeypatch, capsys, value, code,

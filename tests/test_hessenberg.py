@@ -26,7 +26,7 @@ from paper_refs import (
     principal_minor,
     sequence_prefix,
 )
-from strategies import bands
+from strategies import alphabets, bands
 
 
 def det_cofactor(rows):
@@ -57,6 +57,29 @@ def det_cofactor(rows):
 )
 def test_build_matrix_shape(alphabet, n, expected):
     assert dense_matrix(build_matrix(alphabet, n)) == expected
+
+
+def _band_by_value(alphabet, n):
+    band = [0] * n
+    for value, colors in alphabet.parts_within(n):
+        band[value - 1] = colors
+    return tuple(band)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(alphabets(), alphabets(max_value=40)), st.integers(0, 40))
+def test_build_matrix_fills_the_band_value_by_value(alphabet, n):
+    assert build_matrix(alphabet, n) == _band_by_value(alphabet, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_build_matrix_cuts_each_run_at_the_order(n):
+    # Runs that start at, end at, straddle and pass n, open or closed.
+    for runs in (((n, None, 1),), ((n, n + 2, 2),), ((1, n, 3),),
+                 ((max(1, n - 1), n + 1, 2),), ((n + 1, None, 1),),
+                 ((1, 1, 2), (n + 1, 10**12, 3)), ((1, 10**9, 1),)):
+        alphabet = PartAlphabet(runs)
+        assert build_matrix(alphabet, n) == _band_by_value(alphabet, n), runs
 
 
 def test_matrix_entries_and_bounds():

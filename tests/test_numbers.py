@@ -4,26 +4,8 @@ from compcount.alphabet import PartAlphabet
 from compcount.enumeration import count_compositions_brute
 from compcount.errors import DomainError
 from compcount.recurrence import count_compositions
-from compcount.weakforms import binomial
 
 from paper_refs import convolution_power, fibonacci, kstep_fibonacci
-
-
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [
-        (4, 2, 6),
-        (3, -1, 0),
-        (0, 0, 1),
-        (5, 0, 1),
-        (5, 5, 1),
-        (5, 6, 0),
-        (-3, -1, 0),
-        (60, 30, 118264581564861424),
-    ],
-)
-def test_binomial_convention(a, b, expected):
-    assert binomial(a, b) == expected
 
 
 def test_fibonacci_seed_and_small_values():

@@ -19,18 +19,19 @@ from strategies import alphabets, margins, run_form_margin
     [
         (PartAlphabet.at_least(1), 9, ((1, -1), (1, -2))),
         (PartAlphabet.at_least(3), 9, ((1, -1), (1, -1, 0, -1))),
-        (PartAlphabet.at_least(3), 3, ((1, -1), (1, -1, 0))),
+        (PartAlphabet.at_least(3), 3, ((1, -1), (1, -1))),
         (PartAlphabet.of((1, 2), 3), 9, ((1,), (1, -2, 0, -1))),
         (PartAlphabet.of((2, 3), (5, 1)), 9, ((1,), (1, 0, -3, 0, 0, -1))),
-        (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3, 0))),
-        (PartAlphabet.of(10**12), 4, ((1,), (1, 0, 0, 0))),
+        (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3))),
+        (PartAlphabet.of(10**12), 4, ((1,), (1,))),
         (PartAlphabet.upto(3), 9, ((1,), (1, -1, -1, -1))),
-        (PartAlphabet.upto(10**9), 4, ((1, -1), (1, -2, 0, 0))),
+        (PartAlphabet.upto(10**9), 4, ((1, -1), (1, -2))),
         (PartAlphabet.of(2, 3, 4), 9, ((1,), (1, 0, -1, -1, -1))),
         (PartAlphabet.of(2, 3, 4), 3, ((1,), (1, 0, -1))),
-        (PartAlphabet(((5, 10**12, 1),)), 4, ((1, -1), (1, -1, 0, 0))),
-        # The same series as all's ((1, -1), (1, -2)), cut one term past x^n.
-        (PartAlphabet.upto(2000), 2001, ((1, -1), (1, -2) + (0,) * 1999)),
+        (PartAlphabet(((5, 10**12, 1),)), 4, ((1, -1), (1, -1))),
+        # Up to x^n the same series as all's: the edge at x^2001 lies past
+        # the cut, and D ends at its last term below it.
+        (PartAlphabet.upto(2000), 2001, ((1, -1), (1, -2))),
         # A wide colored run: five nonzero terms, whatever its width.
         (PartAlphabet.of(*((v, 3) for v in range(1, 5001))), 6000,
          ((1, -1), (1, -4) + (0,) * 4999 + (3,))),
@@ -62,6 +63,25 @@ def test_generating_function_series_matches_brute(alphabet, margin):
     series = [*num] + [0] * (13 - len(num))
     divide_series(series, den)
     assert series == [count_compositions_brute(n, alphabet) for n in range(13)]
+
+
+_WIDE = (PartAlphabet.upto(10**9), PartAlphabet.of(10**12), PartAlphabet(((5, 10**12, 1),)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(alphabets(), st.sampled_from(_WIDE)), st.integers(1, 60), margins)
+def test_generating_function_ends_at_a_nonzero_term(alphabet, length, margin):
+    with run_form_margin(margin):
+        _, den = alphabet.generating_function(length)
+    assert den[0] == 1 and den[-1] != 0
+
+
+def test_an_interval_wider_than_n_counts_as_its_open_run():
+    # upto:10^9 at n = 10^5 reads the two terms of all's D, not 10^5 + 1.
+    alphabet = PartAlphabet.upto(10**9)
+    assert alphabet.generating_function(10**5 + 1)[1] == (1, -2)
+    assert count_compositions(10**5, alphabet) == count_compositions(
+        10**5, PartAlphabet.at_least(1))
 
 
 @pytest.mark.parametrize(

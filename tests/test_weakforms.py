@@ -28,6 +28,23 @@ from paper_refs import convolution_power, fibonacci, sequence_prefix, to_json_di
 from strategies import alphabets, margins, run_form_margin
 
 
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        (4, 2, 6),
+        (3, -1, 0),
+        (0, 0, 1),
+        (5, 0, 1),
+        (5, 5, 1),
+        (5, 6, 0),
+        (-3, -1, 0),
+        (60, 30, 118264581564861424),
+    ],
+)
+def test_binomial_convention(a, b, expected):
+    assert binomial(a, b) == expected
+
+
 @pytest.mark.parametrize("a,b", [(-1, 0), (-5, 3), (-1, 1)])
 def test_binomial_rejects_negative_upper_index(a, b):
     with pytest.raises(DomainError):
