@@ -8,18 +8,19 @@ denominator of `upto:1000`, and on `upto:1000000000` at n = 10^5, whose D
 ends at its last term below x^(n+1), so it halves the two terms of all's D
 and costs what `all` costs. series: the weak series with no zeros, the
 first n + 1 terms of N/D, N divided by D in place (divide_series), O(n*r)
-for r nonzero lags of D, which `table` and the weak counts use; `upto:50`
-and `upto:2000` take the run form of their generating function, whose D
-has three nonzero terms. det: the band, filled one slice per run of the
-alphabet, then column 0 of the Hessenberg charpoly table, n + 1 cells of
+for r nonzero lags of D, which `table` and the weak counts use; `upto:20`,
+`upto:50` and `upto:2000` take the run form of their generating function,
+whose D has three nonzero terms. det: the band, filled one slice per run
+of the alphabet, then column 0 of the Hessenberg charpoly table, n + 1 cells of
 one addition per nonzero head lag plus one for the band's constant tail
 (a running sum), so O(n) additions for an unbounded alphabet. charpoly: the whole table, O(n^2) such cells. minors: the weak
 count with six zeros as the sum of order-n minors of the order-(n+6)
 matrix, a table cut to (n+1) * 7 cells. conv: weak counts with two zeros
 as the series of N^3 / D^3, N^3 divided three times by D in place,
-O(n * r) for r nonzero lags of D, on `all`, on the wide intervals
-`upto:50` and `upto:2000` (run form), and on the dense bounded `upto:3`,
-`1x2,3`, `upto:13` and unbounded `atleast:5`.
+O(n * r) for r nonzero lags of D, on `all` and `atleast:5`, on the
+intervals `upto:13`, `upto:50` and `upto:2000` (run form), and on the
+dense `upto:3` and `1x2,3`; `upto:5` (dense) and `upto:6` (run form) at
+n = 2000 sit either side of the weak series' margin.
 brute: the brute-force oracle's walk by levels (see enumeration), so
 count_compositions_brute(n) on `all` visits 2^n sequences and
 weak_brute_table(n, k) more, every sequence with sum <= n and at most k
@@ -88,7 +89,7 @@ POINTS = {
     "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
-             ("upto:13", 2000)),
+             ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000)),
     # (n-max, k): the crossover on all (its first Decimal row at k = 0 is
     # 2116), upto:3 and a wide-row alphabet; b-files of 2400-2600 and
     # 1900-3200 rows; the 20 000-row table.

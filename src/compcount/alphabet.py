@@ -15,13 +15,6 @@ runs, so it is immutable and hashable and can key caches.
 
 from .errors import DomainError
 
-# generating_function takes the run form when its nonzero terms are at
-# most 1/RUN_FORM_MARGIN of the dense form's. One count by Bostan-Mori
-# gains nothing from it, since its halving steps make both forms dense:
-# upto:13 and upto:16 counted 4-18% slower in the run form, and from about
-# upto:20 on the forms timed the same, so upto:K stays dense up to K = 22.
-RUN_FORM_MARGIN = 5
-
 
 def runs(pairs) -> tuple[tuple[int, int, int], ...]:
     """Group (value, count) pairs, in order, into the maximal runs
@@ -84,9 +77,11 @@ class PartAlphabet(tuple):
             raise DomainError("upper bound must be a positive integer")
         return cls(((1, bound, 1),))
 
-    def generating_function(self, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x), in the run form
-        if the margin allows it (an open run has infinitely many dense terms).
+    def generating_function(self, length: int, margin: float
+                            ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x): the run form if
+        its nonzero terms are at most 1/margin of the dense form's (always for
+        an open run, which has infinitely many dense terms), else the dense one.
         D holds the form's terms below x^length, so c(0..length-1) hold, and
         ends at the last, none being 0: a run past x^length costs what an
         open run costs, and a huge part value allocates nothing."""
@@ -97,7 +92,7 @@ class PartAlphabet(tuple):
                 edges[last + 1] = edges.get(last + 1, 0) + colors
         values = sum(float("inf") if last is None else last - first + 1
                      for first, last, _ in self.runs)
-        if RUN_FORM_MARGIN * (2 + len(edges)) <= 2 + values:
+        if margin * (2 + len(edges)) <= 2 + values:
             num, terms = (1, -1), [(p, c) for p, c in edges.items() if p < length]
         else:
             num, terms = (1,), [(0, 1), *((v, -q) for v, q in self.parts_within(length - 1))]

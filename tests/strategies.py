@@ -1,26 +1,26 @@
-"""Shared hypothesis strategies for the test suite, and a switch for the
-run-form margin that the series property tests draw."""
+"""Shared hypothesis strategies for the test suite."""
 
-from contextlib import contextmanager
+import math
 
 from hypothesis import strategies as st
 
-from compcount import alphabet as alphabet_module
 from compcount.alphabet import PartAlphabet
 
 
 @st.composite
 def alphabets(draw, max_value=8, max_multiplicity=3, max_threshold=4):
-    """Small random alphabets: explicit multi-colored, a bounded interval
-    {lo, ..., hi}, an unbounded one {lo, lo+1, ...}, or runs of
+    """Small random alphabets: explicit multi-colored, an interval of one to
+    max_value values from lo, an unbounded one {lo, lo+1, ...}, or runs of
     consecutive values that share a color count, each one to five values
-    wide, the last ending at most five past max_value."""
+    wide, the last ending at most five past max_value. So the weak series'
+    run form is drawn: every open alphabet takes it, and so does an
+    interval of six or more values from 1, or of seven or more from above."""
     kind = draw(st.sampled_from(("explicit", "interval", "unbounded", "runs")))
     if kind == "unbounded":
         return PartAlphabet.at_least(draw(st.integers(1, max_threshold)))
     if kind == "interval":
         lo = draw(st.integers(1, max_threshold))
-        return PartAlphabet(((lo, draw(st.integers(lo, max_value)), 1),))
+        return PartAlphabet(((lo, lo + draw(st.integers(0, max_value - 1)), 1),))
     if kind == "runs":
         pairs, last = [], 0
         while last < max_value and (not pairs or draw(st.booleans())):
@@ -38,23 +38,10 @@ def alphabets(draw, max_value=8, max_multiplicity=3, max_threshold=4):
     return PartAlphabet.of(*parts)
 
 
-# At the module's margin no bounded run form fits under the brute guard:
-# the narrowest, upto:23, needs n >= 24 for its x^24 term, and a brute
-# count there visits 2^24 sequences. At margin 1 every alphabet whose run
-# form has no more terms than its dense form takes it: upto:3, a run of
-# three or more values from 1, or of four or more from higher up.
-margins = st.sampled_from((alphabet_module.RUN_FORM_MARGIN, 1))
-
-
-@contextmanager
-def run_form_margin(margin):
-    """Let generating_function choose its form at ``margin``."""
-    saved = alphabet_module.RUN_FORM_MARGIN
-    alphabet_module.RUN_FORM_MARGIN = margin
-    try:
-        yield
-    finally:
-        alphabet_module.RUN_FORM_MARGIN = saved
+# Margins for generating_function that give both forms of every alphabet:
+# at 0 each takes the run form, and at infinity each bounded one the dense
+# form (an open run has only the run form).
+margins = st.sampled_from((0, math.inf))
 
 
 @st.composite

@@ -24,7 +24,7 @@ from compcount.recurrence import weak_counts
 
 from paper_refs import dense_matrix, format_matrix, minor_sum_subsets
 from residues import residue, weak_residues
-from strategies import alphabets, margins, run_form_margin
+from strategies import alphabets
 
 
 def run_cli(capsys, *argv):
@@ -754,14 +754,13 @@ def _renders_in_decimal(alphabet, n_max, k=None):
 
 @pytest.mark.parametrize("bits", [0, 1 << 20], ids=["int", "decimal"])
 @settings(max_examples=60, deadline=None)
-@given(alphabets(), st.integers(1, 60), st.none() | st.integers(0, 4), margins)
+@given(alphabets(), st.integers(1, 60), st.none() | st.integers(0, 4))
 # A run form with a negative lag times a zero count: -0 in Decimal.
-@example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, None, 5)
-def test_a_table_prints_str_of_the_int_series_on_either_path(bits, alphabet, n_max, k, margin):
+@example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, None)
+def test_a_table_prints_str_of_the_int_series_on_either_path(bits, alphabet, n_max, k):
     # The rule reads the bits of the last zero-free count: 0 bits keep the
     # int series, 2^20 bits take the Decimal one.
-    with run_form_margin(margin), mock.patch("compcount.recurrence.count_compositions",
-                                             lambda *_: (1 << bits) >> 1):
+    with mock.patch("compcount.recurrence.count_compositions", lambda *_: (1 << bits) >> 1):
         assert _renders_in_decimal(alphabet, n_max, k) == (bits > 0)
         assert _table(alphabet, n_max, k) == _str_of_the_int_series(alphabet, n_max, k)
 

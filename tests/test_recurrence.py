@@ -11,7 +11,7 @@ from compcount.recurrence import count_compositions, divide_series, series_term
 from compcount.verify import BATTERY
 
 from paper_refs import fibonacci, kstep_fibonacci, sequence_prefix
-from strategies import alphabets, margins, run_form_margin
+from strategies import alphabets, margins
 
 
 @pytest.mark.parametrize(
@@ -35,14 +35,27 @@ from strategies import alphabets, margins, run_form_margin
         # A wide colored run: five nonzero terms, whatever its width.
         (PartAlphabet.of(*((v, 3) for v in range(1, 5001))), 6000,
          ((1, -1), (1, -4) + (0,) * 4999 + (3,))),
-        # Either side of the margin: 24 dense terms against 5 run terms
-        # stays dense, 25 against 5 takes the run form.
+        # Either side of the count's margin, 5: 24 dense terms against 5 run
+        # terms stays dense, 25 against 5 takes the run form.
         (PartAlphabet.upto(22), 30, ((1,), (1,) + (-1,) * 22)),
         (PartAlphabet.upto(23), 30, ((1, -1), (1, -2) + (0,) * 22 + (1,))),
     ],
 )
 def test_generating_function_transcribes_the_alphabet(alphabet, length, expected):
-    assert alphabet.generating_function(length) == expected
+    assert alphabet.generating_function(length, 5) == expected
+
+
+@pytest.mark.parametrize(
+    "alphabet,expected",
+    [
+        # Either side of the weak series' margin, 1.5: 7 dense terms against
+        # 5 run terms stays dense, 8 against 5 takes the run form.
+        (PartAlphabet.upto(5), ((1,), (1, -1, -1, -1, -1, -1))),
+        (PartAlphabet.upto(6), ((1, -1), (1, -2, 0, 0, 0, 0, 0, 1))),
+    ],
+)
+def test_generating_function_transcribes_the_alphabet_at_the_weak_margin(alphabet, expected):
+    assert alphabet.generating_function(9, 1.5) == expected
 
 
 def test_divide_series_expands_the_fibonacci_series():
@@ -58,8 +71,7 @@ def test_divide_series_expands_the_fibonacci_series():
 def test_generating_function_series_matches_brute(alphabet, margin):
     # One color per value keeps the brute stream at n = 12 within 2^11
     # compositions; colored alphabets meet the brute oracle at n <= 9 below.
-    with run_form_margin(margin):
-        num, den = alphabet.generating_function(13)
+    num, den = alphabet.generating_function(13, margin)
     series = [*num] + [0] * (13 - len(num))
     divide_series(series, den)
     assert series == [count_compositions_brute(n, alphabet) for n in range(13)]
@@ -71,15 +83,14 @@ _WIDE = (PartAlphabet.upto(10**9), PartAlphabet.of(10**12), PartAlphabet(((5, 10
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(alphabets(), st.sampled_from(_WIDE)), st.integers(1, 60), margins)
 def test_generating_function_ends_at_a_nonzero_term(alphabet, length, margin):
-    with run_form_margin(margin):
-        _, den = alphabet.generating_function(length)
+    _, den = alphabet.generating_function(length, margin)
     assert den[0] == 1 and den[-1] != 0
 
 
 def test_an_interval_wider_than_n_counts_as_its_open_run():
     # upto:10^9 at n = 10^5 reads the two terms of all's D, not 10^5 + 1.
     alphabet = PartAlphabet.upto(10**9)
-    assert alphabet.generating_function(10**5 + 1)[1] == (1, -2)
+    assert alphabet.generating_function(10**5 + 1, 5)[1] == (1, -2)
     assert count_compositions(10**5, alphabet) == count_compositions(
         10**5, PartAlphabet.at_least(1))
 
@@ -162,16 +173,15 @@ def test_unbounded_alphabet_matches_explicit_expansion():
 @settings(max_examples=60, deadline=None)
 @given(alphabets(), st.integers(0, 9), margins)
 def test_recurrence_agrees_with_brute_on_random_alphabets(alphabet, n, margin):
-    with run_form_margin(margin):
-        count = count_compositions(n, alphabet)
-    assert count == count_compositions_brute(n, alphabet)
+    count = series_term(*alphabet.generating_function(n + 1, margin), n)
+    assert count == count_compositions(n, alphabet) == count_compositions_brute(n, alphabet)
 
 
 def test_a_wide_colored_run_matches_brute():
-    # 1x3,...,60x3 takes the run form at the module's margin, so the -4x
+    # 1x3,...,60x3 takes the run form at the count's margin, so the -4x
     # of (1 - x) - 3(x - x^61) is checked against the oracle directly.
     alphabet = PartAlphabet.of(*((v, 3) for v in range(1, 61)))
-    assert alphabet.generating_function(11)[0] == (1, -1)
+    assert alphabet.generating_function(11, 5)[0] == (1, -1)
     assert [count_compositions(n, alphabet) for n in range(11)] == [
         count_compositions_brute(n, alphabet) for n in range(11)
     ]

@@ -28,7 +28,7 @@ from compcount.weakforms import (
 
 from paper_refs import (
     convolution_power, fibonacci, insertion_sum, sequence_prefix, to_json_dict)
-from strategies import alphabets, margins, run_form_margin
+from strategies import alphabets
 
 
 @pytest.mark.parametrize(
@@ -61,12 +61,13 @@ def test_binomial_pascal(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(alphabets(), st.integers(0, 60), st.integers(0, 6), margins)
+@given(alphabets(), st.integers(0, 60), st.integers(0, 6))
 # A run form with a negative lag times a zero count: -0 unless stored as 0.
-@example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, 0, 5)
-def test_a_decimal_weak_series_holds_no_negative_zero(alphabet, n, k, margin):
-    with run_form_margin(margin):
-        terms = decimal_weak_counts(n, k, alphabet)
+@example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, 0)
+# The narrowest interval from 1 in the run form.
+@example(PartAlphabet.upto(6), 30, 3)
+def test_a_decimal_weak_series_holds_no_negative_zero(alphabet, n, k):
+    terms = decimal_weak_counts(n, k, alphabet)
     assert isinstance(terms[0], decimal.Decimal)
     assert "-0" not in map(str, terms)
 
@@ -79,10 +80,9 @@ def test_unrestricted_closed_at_k_far_above_n(n):
 
 
 @settings(max_examples=15, deadline=None)
-@given(alphabets(), st.integers(0, 6), margins)
-def test_weak_counts_at_k_far_above_n(alphabet, n, margin):
-    with run_form_margin(margin):
-        assert weak_counts(n, 10**4, alphabet)[n] == insertion_sum(n, 10**4, alphabet)
+@given(alphabets(), st.integers(0, 6))
+def test_weak_counts_at_k_far_above_n(alphabet, n):
+    assert weak_counts(n, 10**4, alphabet)[n] == insertion_sum(n, 10**4, alphabet)
 
 
 @pytest.mark.parametrize(
@@ -109,12 +109,10 @@ def test_count_weak_convolution_without_zeros_is_plain_count():
               st.integers(1, 60).map(PartAlphabet.upto)),
     st.integers(0, 30),
     st.integers(0, 12),
-    margins,
 )
-def test_weak_counts_equal_folded_count_sequence(alphabet, n, k, margin):
+def test_weak_counts_equal_folded_count_sequence(alphabet, n, k):
     prefix = sequence_prefix(alphabet, n)
-    with run_form_margin(margin):
-        counts = weak_counts(n, k, alphabet)
+    counts = weak_counts(n, k, alphabet)
     assert counts == [convolution_power(prefix, k + 1, j) for j in range(n + 1)]
 
 
@@ -153,11 +151,12 @@ def test_weak_routes_match_brute_across_battery():
 
 
 @settings(max_examples=40, deadline=None)
-@given(alphabets(), st.integers(0, 7), st.integers(0, 3), margins)
-def test_weak_routes_match_brute_random(alphabet, n, k, margin):
+@given(alphabets(), st.integers(0, 7), st.integers(0, 3))
+# The narrowest interval from 1 in the run form, its edge x^7 inside n.
+@example(PartAlphabet.upto(6), 7, 3)
+def test_weak_routes_match_brute_random(alphabet, n, k):
     brute = count_weak_brute(n, k, alphabet)
-    with run_form_margin(margin):
-        assert count_weak_convolution(n, k, alphabet) == brute
+    assert count_weak_convolution(n, k, alphabet) == brute
     assert count_weak_minor_sum(n, k, alphabet) == brute
 
 
