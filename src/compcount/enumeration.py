@@ -84,11 +84,13 @@ def weak_brute_table(
                 state[r - v] = len(left_sums)
                 left_sums.append(r - v)
     # Cell s * width + z tallies state s with z zeros left (max_k - z zeros).
+    # The cell table is capped at 0x110000 cells, which also keeps every
+    # state, one character of a level's strings, a code point.
     width = max_k + 1
-    nodes = len(left_sums) * width
-    if nodes > 0x110000:
-        raise GuardExceeded(f"brute-force walk needs {nodes} nodes, more than the"
-                            " 0x110000 code points of a str")
+    size = len(left_sums) * width
+    if size > 0x110000:
+        raise GuardExceeded(f"brute-force walk needs {size} (sum, zeros) cells, more than"
+                            " the 0x110000 its cell table may hold")
     # Part v takes each state to that of its sum left less v, or deletes it
     # (None): a 1:1 table, on CPython's ASCII fast path below 128 states.
     tables = [(q, [state.get(r - v) for r in left_sums]) for v, q in parts]
@@ -99,7 +101,7 @@ def weak_brute_table(
     # most 2^budget sequences (steps omits the empty one), as `count budget
     # --method brute` on `all`; a lower guard keeps the budget.
     budget = max(guard, DEFAULT_GUARD)
-    cells, steps, level = [0] * nodes, 0, {(1, max_k): ("\0", "\0")}
+    cells, steps, level = [0] * size, 0, {(1, max_k): ("\0", "\0")}
     while level:
         for (weight, z), (sequences, present) in level.items():
             for s in present:

@@ -1,6 +1,7 @@
 """Identity verification drivers: evaluate both sides of each identity
-over a small grid, against the brute-force oracle where it claims a count;
-``_point`` fixes each point's verdict as it puts the point in a report.
+over a small grid, against the brute-force oracle where it claims a count.
+Each identity yields ``(n, k, lhs, rhs[, oracle])`` cells, and ``_report``
+makes every report from them, ``_point`` fixing each point's verdict.
 Identities that read the same (grid, alphabet) share its one brute walk
 within a call of ``run_identity``; no table outlives the call.
 
@@ -35,6 +36,11 @@ def _point(n, k, lhs, rhs, oracle=None) -> GridPoint:
     return GridPoint(n, k, lhs, rhs, oracle, agree)
 
 
+def _report(identity, cells, lhs_label, rhs_label, notes=()) -> Report:
+    """The report of ``(n, k, lhs, rhs[, oracle])`` cells, in their order."""
+    return Report(identity, tuple(_point(*cell) for cell in cells), lhs_label, rhs_label, notes)
+
+
 def check_fib_convolution_identity(max_n: int) -> Report:
     """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n.
     F_{j+1} counts the compositions of j into parts {1, 2}, so the
@@ -42,25 +48,15 @@ def check_fib_convolution_identity(max_n: int) -> Report:
     (n - k, k), set against that count's closed form. One weak series per
     k holds that count for every n of the grid."""
     columns = [weak_counts(max_n - k, k, PartAlphabet.upto(2)) for k in range(max_n + 1)]
-    points = tuple(
-        _point(n=n, k=k, lhs=columns[k][n - k], rhs=count_weak_parts12_closed(n - k, k))
-        for n in range(max_n + 1)
-        for k in range(n + 1)
-    )
-    return Report(
-        identity="eq1", points=points, lhs_label="fib_convolution", rhs_label="binomial_sum"
-    )
+    cells = ((n, k, columns[k][n - k], count_weak_parts12_closed(n - k, k))
+             for n in range(max_n + 1) for k in range(n + 1))
+    return _report("eq1", cells, "fib_convolution", "binomial_sum")
 
 
 def _oracle_grid(identity, value_fn, table, first_n=0, lhs_label="computed"):
-    points = tuple(
-        _point(n=n, k=k, lhs=value_fn(n, k), rhs=cell)
-        for n in range(first_n, len(table))
-        for k, cell in enumerate(table[n])
-    )
-    return Report(
-        identity=identity, points=points, lhs_label=lhs_label, rhs_label="brute"
-    )
+    cells = ((n, k, value_fn(n, k), cell)
+             for n in range(first_n, len(table)) for k, cell in enumerate(table[n]))
+    return _report(identity, cells, lhs_label, "brute")
 
 
 def _battery(identity, columns, brute, max_n, max_k) -> list[Report]:
@@ -95,32 +91,12 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     # the odd parts up to max_n holds every n of the grid.
     odd = PartAlphabet.of(*range(1, max_n + 1, 2))
     columns = [weak_counts(max_n, k, odd) for k in range(max_k + 1)]
-    points = []
-    for n in range(1, max_n + 1):
-        for k in range(max_k + 1):
-            points.append(
-                _point(
-                    n=n,
-                    k=k,
-                    lhs=fib_block_closed(n, k),
-                    rhs=columns[k][n],
-                    oracle=brute[n + k - 1][k],
-                )
-            )
-    notes = []
-    shifted_matches = [p.rhs == brute[p.n + 1][0] for p in points if p.k == 0]
-    if shifted_matches and all(shifted_matches):
-        notes.append(
-            "every k=0 row equals the direct zero-free count at total n+1,"
-            " so the labelled target looks shifted by one"
-        )
-    return Report(
-        identity="thm12",
-        points=tuple(points),
-        lhs_label="closed",
-        rhs_label="convolution",
-        notes=tuple(notes),
-    )
+    cells = ((n, k, fib_block_closed(n, k), columns[k][n], brute[n + k - 1][k])
+             for n in range(1, max_n + 1) for k in range(max_k + 1))
+    shifted = all(columns[0][n] == brute[n + 1][0] for n in range(1, max_n + 1))
+    notes = ("every k=0 row equals the direct zero-free count at total n+1,"
+             " so the labelled target looks shifted by one",) if shifted else ()
+    return _report("thm12", cells, "closed", "convolution", notes)
 
 
 # name -> (brute, max_n, max_k) -> reports, brute being run_identity's

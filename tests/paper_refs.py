@@ -27,6 +27,11 @@ def fibonacci(i: int) -> int:
     return a
 
 
+def shifted_fibonacci(top: int) -> list[int]:
+    """F_1, ..., F_{top+1}: F_{j+1} counts the compositions of j into {1, 2}."""
+    return [fibonacci(j + 1) for j in range(top + 1)]
+
+
 def convolution_power(seq, folds: int, index: int) -> int:
     """Coefficient of x^index in (sum_j seq[j] x^j) ** folds, folds >= 1, by
     repeated direct convolution (no series kernel of the package)."""

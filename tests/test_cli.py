@@ -428,7 +428,8 @@ def test_brute_walk_past_its_step_budget_is_a_guard_violation():
 
 
 def test_brute_walk_with_more_nodes_than_code_points_is_a_guard_violation():
-    # 1201 sums times 1201 zero counts is more nodes than a str can hold.
+    # 1201 sums times 1201 zero counts is more (sum, zeros) cells than the
+    # walk's cell table may hold.
     done = _run_module("weak", "1200", "1200", "--method", "brute", guard=5000)
     assert done.returncode == 3
     assert done.stdout == ""
