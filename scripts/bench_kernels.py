@@ -11,16 +11,26 @@ first n + 1 terms of N/D, N divided by D in place (divide_series), O(n*r)
 for r nonzero lags of D, which `table` and the weak counts use; `upto:20`,
 `upto:50` and `upto:2000` take the run form of their generating function,
 whose D has three nonzero terms. det: the band, filled one slice per run
-of the alphabet, then column 0 of the Hessenberg charpoly table, n + 1 cells of
-one addition per nonzero head lag plus one for the band's constant tail
-(a running sum), so O(n) additions for an unbounded alphabet. charpoly: the whole table, O(n^2) such cells. minors: the weak
-count with six zeros as the sum of order-n minors of the order-(n+6)
-matrix, a table cut to (n+1) * 7 cells. conv: weak counts with two zeros
-as the series of N^3 / D^3, N^3 divided three times by D in place,
-O(n * r) for r nonzero lags of D, on `all` and `atleast:5`, on the
-intervals `upto:13`, `upto:50` and `upto:2000` (run form), and on the
-dense `upto:3` and `1x2,3`; `upto:5` (dense) and `upto:6` (run form) at
-n = 2000 sit either side of the weak series' margin.
+of the alphabet, then the determinant as the one-slot row of the
+Hessenberg charpoly table: n rows of plain ints, each one addition per
+term of the band's runs (a run of one or two entries a term per entry, a
+longer run two, the constant tail one), holding only the last reach
+rows; so `upto:1000` at 2000 costs what `all` costs. charpoly: the last row of
+the table, either n packed rows, each a shift and an addition per term
+on one int of up to n + 1 slots, or, past the rule's edge (`all` at
+2000), n + 1 columns, O(n^2) cells of the same additions; `upto:3`,
+`1x2,3` and `1,2x2,5` at 250 are the benchmark's shapes. minors: the
+weak count with six zeros as the sum of order-n minors of the order-(n+6)
+matrix, and at (n, k) with k zeros: packed rows cut to k + 1 slots, or
+k + 1 columns cut to n + 1 cells, as the rule picks; the columns where k
+is past n (`all` at (5, 10^5) and (50, 2000)) or the cells are wide
+(`upto:1999` at (2000, 10), whose one run is two terms). conv: weak
+counts with two zeros as the series of N^3 / D^3, N^3 divided three
+times by D in place, O(n * r) for r nonzero lags of D, on `all` and
+`atleast:5`, on the intervals `upto:13`, `upto:50` and `upto:2000` (run
+form), and on the dense `upto:3` and `1x2,3`; `upto:5` (dense) and
+`upto:6` (run form) at n = 2000 sit either side of the weak series'
+margin.
 brute: the brute-force oracle's walk by levels (see enumeration), so
 count_compositions_brute(n) on `all` visits 2^n sequences and
 weak_brute_table(n, k) more, every sequence with sum <= n and at most k
@@ -55,7 +65,8 @@ failure is one `bench_kernels:` line on stderr, and the exit status is 1:
   determinant and charpoly constant term up to sign;
 - a point with a third entry in POINTS has that many bits: c(10^6) on
   `upto:3` has 879146, and c(10^5) on `upto:1000000000`, 2^(10^5 - 1),
-  has 10^5;
+  has 10^5; the charpoly, det and minors points off `all` pin the bits
+  that the column-at-a-time kernel gave;
 - at every serialize point the int and Decimal rows are the same bytes.
 """
 
@@ -84,9 +95,12 @@ POINTS = {
                    ("upto:1000000000", 10**5, 100000)),
     "series": (("all", 5000), ("all", 10000), ("all", 20000), ("upto:20", 10000),
                ("upto:50", 10000), ("upto:2000", 10000)),
-    "det": (("all", 10000), ("all", 20000), ("all", 40000)),
-    "charpoly": (("all", 250), ("all", 500), ("all", 1000)),
-    "minors": (("all", 1000), ("all", 5000), ("all", 10000)),
+    "det": (("all", 10000), ("all", 20000), ("all", 40000), ("upto:1000", 2000, 1999)),
+    "charpoly": (("all", 250), ("all", 500), ("all", 1000), ("all", 2000),
+                 ("upto:3", 250, 220), ("1x2,3", 250, 286), ("1,2x2,5", 250, 257)),
+    # n, or (n, k) for a weak count with k zeros instead of six
+    "minors": (("all", 1000), ("all", 5000), ("all", 10000), ("upto:1999", (2000, 10), 2077),
+               ("all", (5, 10**5), 77), ("all", (50, 2000), 337)),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000)),
@@ -111,6 +125,11 @@ def _brute(size, alphabet):
     return weak_brute_table(*size, alphabet)[size[0]][size[1]]
 
 
+def _minors(size, alphabet):
+    n, k = (size, 6) if isinstance(size, int) else size
+    return count_weak_minor_sum(n, k, alphabet)
+
+
 def _serialize(size, alphabet):
     """Seconds of the int rows' text, the Decimal rows' text and table's
     rows, and whether the first two are the same bytes."""
@@ -130,7 +149,7 @@ KERNELS = {
     "series": lambda n, a: count_weak_convolution(n, 0, a),
     "det": lambda n, a: det_hessenberg(build_matrix(a, n)),
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
-    "minors": lambda n, a: count_weak_minor_sum(n, 6, a),
+    "minors": _minors,
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
     "brute": _brute,
 }

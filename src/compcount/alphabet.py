@@ -37,8 +37,10 @@ class PartAlphabet(tuple):
         previous, shade = 0, None
         for first, last, colors in runs:
             if previous is None or first <= previous:
-                raise DomainError("threshold must be a positive integer" if previous == 0
-                                  else f"part values must be strictly increasing, got {first}")
+                raise DomainError(
+                    f"part values must be strictly increasing, got {first}" if previous != 0
+                    else "threshold must be a positive integer" if last is None
+                    else f"part values must be positive integers, got {first}")
             if last is not None and last < first:
                 raise DomainError(f"empty interval {first}..{last}")
             if colors < 1:

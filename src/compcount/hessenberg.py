@@ -8,20 +8,45 @@ matrix, of determinant 1. Expanding chi_j = det(xI - M_j) of the leading
 order-j block across its last column gives chi_j = x chi_{j-1} + sum_d
 (-1)^d v_d chi_{j-d}, so the signed coefficients c_i(j) = (-1)^(j-i)
 [x^i] chi_j, each the sum of all order-(j-i) principal minors of M_j,
-obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d).
-One kernel fills that table column by column, and the determinant
-c_0(n), the characteristic polynomial and the sums of principal minors
-of a fixed order r, c_{n-r}(n), are all read from it. A cell costs one
-addition per nonzero band entry before the band's constant nonzero tail
-(the band of an unbounded alphabet is constant past its threshold), plus
-one for the whole tail, whose lags collapse to a running sum of the
-column. Deleting row and column i of such a matrix leaves a
-block-triangular matrix whose diagonal blocks are the order i-1 and order
-n-i matrices of the same band, which is why principal minors factor into
-products of leading determinants. The sum of all order-n principal
-minors of the order n+k matrix counts the weak compositions of n with
-exactly k zeros, a route that shares no kernel with the weak series.
+obey c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d). The determinant c_0(n),
+the characteristic polynomial and the sums of principal minors of a
+fixed order r, c_{n-r}(n), are all read from that table.
+
+Row j of the table is the polynomial R_j(y) = sum_i c_i(j) y^i, and the
+recurrence reads R_j = y R_{j-1} + sum_d v_d R_{j-d}, R_0 = 1. The band
+enters by its runs (_terms): a run of one or two entries as that many
+terms, a longer run of v over lags a..b, by summation by parts, as v
+(S_{j-a} - S_{j-b-1}), S being the running sum of the rows, and the
+constant tail of an unbounded alphabet as a run with no end. So each row
+costs O(1) additions per run, whatever the runs' lengths. At y = 2^w a
+row is one int, w bits per slot (Kronecker substitution), and a row is a
+shift and one addition per term, each done in C (_last_row). Only the
+last `reach` rows are held, reach being the farthest lag any term reads:
+reach * slots * w bits (`matrix 600 --charpoly --alphabet upto:300` took
+0.048 s and 42.5 MB, against 1.50 s and 13.8 MB one column at a time).
+w is exact: one bit more than the bits of R_n(1) for the band of |v_d|,
+which bounds every |c_i(n)|. A row cut to its first slots is kept mod 2^(w slots), a
+ring map, so signed bands stay exact. The determinant is the one-slot
+row: plain ints, no w, no mask, so it holds reach cells, not n + 1.
+
+Where packed rows lose, the same terms fill the table a column at a time
+(_charpoly_columns): in tables with more columns than cells per column,
+such as the weak minors with k > n, where every packed row still carries
+slot 0, c_0(j) = c(j), and where the cells are so wide that moving their
+bits costs more than the interpreter's work per cell, and where the ring
+of rows would pass RING_BITS. _packed_width picks the loop from the
+table's shape, the band's reach and w before any cell is filled.
+
+Deleting row and column i of such a matrix leaves a block-triangular
+matrix whose diagonal blocks are the order i-1 and order n-i matrices of
+the same band, which is why principal minors factor into products of
+leading determinants. The sum of all order-n principal minors of the
+order n+k matrix counts the weak compositions of n with exactly k zeros,
+a route that shares no kernel with the weak series.
 """
+
+from itertools import groupby
+from operator import itemgetter
 
 from .alphabet import PartAlphabet
 from .errors import DomainError
@@ -39,53 +64,194 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
     return tuple(band)
 
 
-def _charpoly_columns(band: tuple[int, ...], last: int, width: int):
-    """Yield columns 0..``last`` of the charpoly table of ``band``. Column i
-    holds, in cell j - i for j = i..min(i + width, n), c_i(j) = (-1)^(j-i)
-    [x^i] det(xI - M_j): the sum of all order-(j-i) principal minors of M_j.
+def _terms(band: tuple[int, ...]):
+    """The band as the terms of sum_d v_d T(t - d), T being the rows of the
+    charpoly table or the cells of one of its columns: (singles, edges),
+    each a tuple of (-lag, coefficient), negative to index T from its end.
+    A run of v over lags a..b of one or two entries is that many singles
+    (-d, v), read as v T(t - d). A longer one is, by summation by parts,
+    v (S(t - a) - S(t - b - 1)), S being the running sum of T: the edges
+    (-a, v) and (-(b + 1), -v), merged where runs meet, and no end edge for
+    the tail, a run to lag n. The kernels keep W(t) = sum_e u_e S(t - e)
+    as one running value, W(t) = W(t - 1) + sum_e u_e T(t - e), so a run
+    costs two additions whatever its length."""
+    singles, edges = [], {}
+    n, first = len(band), 1
+    for v, group in groupby(band):
+        last = first + len(tuple(group)) - 1
+        if v and last - first < 2:
+            singles += [(-lag, v) for lag in range(first, last + 1)]
+        elif v:
+            edges[-first] = edges.get(-first, 0) + v
+            if last < n:
+                edges[-last - 1] = -v
+        first = last + 1
+    return tuple(singles), tuple((lag, u) for lag, u in edges.items() if u)
 
-    c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d), seeded by c_{-1}(-1) = 1.
-    The band's tail v_T = ... = v_n = v is found from its end, walking back
-    from lag n while the entry equals v = v_n. If v is nonzero, the lags
-    d >= T collapse to v * S_i(t - T), S_i being the running sum of the
-    column being filled and t = j - i the cell's place in it. So a cell
-    costs one addition per nonzero head lag d < T plus one for the tail,
-    and adds instead of multiplying by 1; an empty band, or one ending in
-    0, has no tail.
-    A cell at j reads its own column at i <= j-d and the previous column
-    at j-1, so cutting every column at j = i + width leaves the cells it
-    keeps exact.
-    """
-    n = len(band)
-    tail = band[-1] if band else 0
-    start = n + 1  # T, the first lag of the tail; past the band if v = 0
-    if tail:
-        start = n
-        while start > 1 and band[start - 2] == tail:
-            start -= 1
-    lags = [(d, v) for d, v in enumerate(band[: start - 1], start=1) if v]
-    previous = [1] + [0] * width
+
+def _reach(terms) -> int:
+    """The farthest lag any term reads, at least 1."""
+    return max([1, *(-lag for part in terms for lag, _ in part)])
+
+
+# Rows _last_row fills between two trims of its ring, so it holds at most
+# _reach(terms) + BLOCK rows.
+BLOCK = 64
+
+
+def _last_row(terms, n: int, slots: int, w: int) -> int:
+    """Row n of the charpoly table as one int, R_n(2^w) mod 2^(w slots):
+    slot i, w bits wide, holds c_i(n) for i < ``slots`` (see _unpack).
+    R_j = y R_{j-1} + sum_d v_d R_{j-d} costs one shift and one addition
+    per term of ``terms``, each in C on the whole row, and at most the
+    last _reach(terms) + BLOCK rows are held. ``slots`` = 1, with w = 0,
+    is the determinant: R_j mod y drops y R_{j-1}, so no shift and no
+    mask."""
+    singles, edges = terms
+    rows = [0] * _reach(terms) + [1]
+    keep = len(rows) - 1
+    (lag0, u0), *rest = edges or ((0, 0),)  # the placeholder is never read
+    mask = (1 << w * slots) - 1 if 1 < slots <= n else 0
+    run = 0
+    for block in range(0, n, BLOCK):
+        for _ in range(min(BLOCK, n - block)):
+            if edges:
+                run += rows[lag0] if u0 == 1 else u0 * rows[lag0]
+                if rest:
+                    for lag, u in rest:
+                        if u == 1:
+                            run += rows[lag]
+                        elif u == -1:
+                            run -= rows[lag]
+                        else:
+                            run += u * rows[lag]
+            value = (rows[-1] << w) + run if w else run
+            if singles:
+                for lag, v in singles:
+                    value += rows[lag] if v == 1 else v * rows[lag]
+            if mask:
+                value &= mask
+            rows.append(value)
+        del rows[:-keep]
+    return rows[-1]
+
+
+def _charpoly_columns(terms, n: int, last: int, width: int):
+    """Yield columns 0..``last`` of the charpoly table, each cut to cells
+    t = 0..min(``width``, n - i) and padded in front with _reach(terms)
+    zeros: cell t of column i is c_i(i + t), the sum of all order-t
+    principal minors of M_{i+t}. c_i(j) = c_{i-1}(j-1) + sum_d v_d c_i(j-d),
+    seeded by c_{-1}(-1) = 1, reads the column through the same terms as
+    _last_row reads the rows, at the same cost per cell as per row. A cell
+    at j reads its own column at i <= j-d and the previous column at j-1,
+    so cutting every column at j = i + width leaves the cells it keeps
+    exact."""
+    singles, edges = terms
+    pad = _reach(terms)
+    (lag0, u0), *rest = edges or ((0, 0),)  # the placeholder is never read
+    previous = [0] * pad + [1] + [0] * width
     for i in range(last + 1):
-        column = []
+        column = [0] * pad
         run = 0
-        for t in range(min(width, n - i) + 1):
+        for t in range(pad, pad + 1 + (width if i <= n - width else n - i)):
             value = previous[t]
-            for d, v in lags:
-                if d > t:
-                    break
-                value += column[t - d] if v == 1 else v * column[t - d]
-            if t >= start:
-                run += column[t - start]
-                value += run if tail == 1 else tail * run
+            if singles:
+                for lag, v in singles:
+                    value += column[lag] if v == 1 else v * column[lag]
+            if edges:
+                run += column[lag0] if u0 == 1 else u0 * column[lag0]
+                if rest:
+                    for lag, u in rest:
+                        if u == 1:
+                            run += column[lag]
+                        elif u == -1:
+                            run -= column[lag]
+                        else:
+                            run += u * column[lag]
+                value += run
             column.append(value)
         yield column
         previous = column
 
 
+def _slot_width(band: tuple[int, ...]) -> int:
+    """Bits per slot that hold every c_i(n) of ``band`` with its sign: one
+    more than the bits of R_n(1) for the band of |v_d|, which bounds
+    |c_i(n)|, rounded up to whole bytes."""
+    wide = [abs(v) for v in band]
+    if wide:
+        wide[0] += 1  # R_j(1) = R_{j-1}(1) + sum_d |v_d| R_{j-d}(1)
+    bound = _last_row(_terms(tuple(wide)), len(wide), 1, 0)
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _unpack(packed: int, w: int, slots: int) -> list[int]:
+    """The slots of a packed row, each a signed w-bit int: a bias of
+    2^(w-1) per slot makes every slot a nonnegative digit."""
+    size = w // 8
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    data = ((packed + bias) & ((1 << w * slots) - 1)).to_bytes(size * slots, "little")
+    half = 1 << (w - 1)
+    return [int.from_bytes(data[at : at + size], "little") - half
+            for at in range(0, size * slots, size)]
+
+
+# The interpreter's work on one cell of the column loop, in bits of int
+# addition that take as long; fitted with scripts/bench_kernels.py on both
+# loops (CHANGES.md has the data).
+CELL_BITS = 4500
+# The most bits the ring of packed rows may hold (128 MB); the column loop
+# holds two columns.
+RING_BITS = 2**30
+
+
+def _packed_width(band: tuple[int, ...], terms, slots: int, cells: int) -> int:
+    """The slot width w if packed rows beat the column loop at reading
+    c_i(n) for i < ``slots``, else 0 (the one rule that picks the loop).
+    The column loop fills ``cells`` cells, each CELL_BITS of interpreter
+    work plus an addition of up to w bits. Rows 0..n hold ``held`` slots
+    in all, and a packed row costs about six cells' interpreter work plus
+    three additions of its slots. Its ring of rows must also fit in
+    RING_BITS: a band with a run out to lag K, such as `upto:K`, holds K
+    rows. Wider slots only favour the columns, so the rule is first
+    checked at a lower bound on w that costs nothing, n // m + 2 bits for
+    m the first nonzero lag (R_j(1) >= 2 R_{j-m}(1)), and only then is w
+    itself computed, one determinant."""
+    rows = len(band) + 1
+    held = slots * rows - slots * (slots - 1) // 2
+    ring = (_reach(terms) + BLOCK) * slots
+
+    def packs(w):
+        return (6 * CELL_BITS * rows + 3 * w * held < cells * (CELL_BITS + w)
+                and ring * w <= RING_BITS)
+
+    first = min((-lag for part in terms for lag, _ in part), default=rows)
+    if not packs(len(band) // first + 2):
+        return 0
+    w = _slot_width(band)
+    return w if packs(w) else 0
+
+
+def _row_cells(band: tuple[int, ...], slots: int, width: int):
+    """c_i(n) for i < ``slots``, in order: from the packed last row of the
+    table, or from the last cells of its first ``slots`` columns, each cut
+    to ``width`` + 1 cells, as _packed_width picks. One slot is the
+    determinant's plain-int row."""
+    n, terms = len(band), _terms(band)
+    if slots == 1:
+        return [_last_row(terms, n, 1, 0)]
+    over = max(0, slots - (n - width + 1))  # columns shorter than width + 1
+    cells = slots * (width + 1) - over * (over + 1) // 2
+    w = _packed_width(band, terms, slots, cells)
+    if w:
+        return _unpack(_last_row(terms, n, slots, w), w, slots)
+    return map(itemgetter(-1), _charpoly_columns(terms, n, slots - 1, width))
+
+
 def det_hessenberg(band: tuple[int, ...]) -> int:
-    """Determinant c_0(n) from column 0 of the charpoly table: n + 1 cells,
-    each one addition per nonzero head lag plus one for a constant tail."""
-    return next(_charpoly_columns(band, 0, len(band)))[-1]
+    """Determinant c_0(n): the one-slot row form, plain ints, holding only
+    the last reach rows; a row costs one addition per term."""
+    return _last_row(_terms(band), len(band), 1, 0)
 
 
 def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
@@ -97,7 +263,7 @@ def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     principal minors.
     """
     n = len(band)
-    ends = [column[-1] for column in _charpoly_columns(band, n, n)]
+    ends = _row_cells(band, n + 1, n)
     return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
@@ -109,14 +275,14 @@ def check_minor_order(n: int, order: int):
 
 def minor_sum(band: tuple[int, ...], order: int) -> int:
     """Sum of all order-``order`` principal minors, c_{n-r}(n) for
-    r = ``order``, from the first n-r+1 columns of the charpoly table cut
-    to r+1 cells each: (n-r+1) * (r+1) cells, each one addition per
-    nonzero head lag plus one for a constant tail; unguarded."""
+    r = ``order``: slot n-r of the last row cut to n-r+1 slots, or the
+    first n-r+1 columns of the charpoly table cut to r+1 cells each,
+    (n-r+1) * (r+1) cells; unguarded."""
     n = len(band)
     check_minor_order(n, order)
-    for column in _charpoly_columns(band, n - order, order):
-        pass  # only the last column is read
-    return column[-1]
+    for cell in _row_cells(band, n - order + 1, order):
+        pass  # only the last is read
+    return cell
 
 
 def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
@@ -126,6 +292,16 @@ def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     return minor_sum(build_matrix(alphabet, n + k), n)
+
+
+def weak_minor_table(alphabet: PartAlphabet, max_n: int, max_k: int) -> list[list[int]]:
+    """[k][n]: the weak compositions of n with exactly k zeros over
+    ``alphabet``, 0 <= n <= max_n and 0 <= k <= max_k, each the cell
+    c_k(n + k) of column k of the order max_n + max_k matrix's charpoly
+    table, every column cut to max_n + 1 cells (unguarded)."""
+    terms = _terms(build_matrix(alphabet, max_n + max_k))
+    return [column[-max_n - 1 :]
+            for column in _charpoly_columns(terms, max_n + max_k, max_k, max_n)]
 
 
 def grid_lines(band: tuple[int, ...]):

@@ -15,7 +15,7 @@ from functools import cache, partial
 from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
-from .hessenberg import _charpoly_columns, build_matrix
+from .hessenberg import weak_minor_table
 from .recurrence import weak_counts
 from .reports import GridPoint, Report
 from .weakforms import count_weak_parts12_closed, count_weak_unrestricted_closed, fib_block_closed
@@ -110,8 +110,7 @@ _REPORT_BUILDERS = {
     "eq1": lambda brute, max_n, max_k: [check_fib_convolution_identity(max_n)],
     "thm8": partial(_battery, "thm8", lambda a, max_n, max_k: [
         weak_counts(max_n, k, a) for k in range(max_k + 1)]),
-    "thm9": partial(_battery, "thm9", lambda a, max_n, max_k: list(
-        _charpoly_columns(build_matrix(a, max_n + max_k), max_k, max_n))),
+    "thm9": partial(_battery, "thm9", weak_minor_table),
     # An empty grid (max_n = 0) reads no brute count, so it meets no guard.
     "thm10": lambda brute, max_n, max_k: [_oracle_grid(
         "thm10", count_weak_unrestricted_closed,

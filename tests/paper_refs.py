@@ -2,10 +2,10 @@
 the Fibonacci and k-step Fibonacci numbers the counts are checked against,
 the direct convolution power that weak counts are checked against, the
 prefix of counts by the recurrence itself, the counting matrix written out
-entry by entry from its band, its principal minors, by fraction-free
-(Bareiss) elimination and as products of counts, their sums of a fixed
-order by expanding every index subset, a stream of every colored
-composition, with the weak counts it gives by inserting zeros, that
+entry by entry from its band, its charpoly table cell by cell, its
+principal minors, by fraction-free (Bareiss) elimination and as products
+of counts, their sums of a fixed order by expanding every index subset,
+a stream of every colored composition, with the weak counts it gives by inserting zeros, that
 checks the brute walk, and a report as the dict whose json.dumps the JSON renderer must print."""
 
 import itertools
@@ -159,6 +159,20 @@ def principal_minor(band, deleted) -> int:
     retained = [i for i in range(n) if i + 1 not in indices]
     dense = dense_matrix(band)
     return det_bareiss([[dense[i][j] for j in retained] for i in retained])
+
+
+def charpoly_table_row(band) -> list[int]:
+    """c_i(n) for i = 0..n, cell by cell from c_i(j) = c_{i-1}(j-1) +
+    sum_d v_d c_i(j-d), c_0(0) = 1, each lag read on its own: the table
+    that the runs and packed rows of the kernels must reproduce."""
+    n = len(band)
+    table = [[0] * (n + 1) for _ in range(n + 1)]  # table[j][i] = c_i(j)
+    table[0][0] = 1
+    for j in range(1, n + 1):
+        for i in range(j + 1):
+            table[j][i] = (table[j - 1][i - 1] if i else 0) + sum(
+                band[d - 1] * table[j - d][i] for d in range(1, j + 1))
+    return table[n]
 
 
 def minor_sum_subsets(band, order: int) -> int:

@@ -52,12 +52,23 @@ def _tailed_bands(draw, max_order, max_abs):
     return tuple(head) + (draw(st.integers(-2, 2)),) * (order - start)
 
 
+@st.composite
+def _run_bands(draw, max_order, max_abs):
+    """Runs of one to six equal entries, zero among the values (a gap),
+    cut to the order; one-entry runs, interior runs and a run to the end."""
+    order, band = draw(st.integers(1, max_order)), []
+    while len(band) < order:
+        band += [draw(st.integers(-max_abs, max_abs))] * draw(st.integers(1, 6))
+    return tuple(band[:order])
+
+
 def bands(max_order=7, max_abs=9):
     """Random integer bands for Hessenberg matrices: free entries, the empty
-    band (the order-0 matrix) among them, or a free head followed by a
+    band (the order-0 matrix) among them, a free head followed by a
     constant run starting anywhere, like the band of an unbounded
-    alphabet."""
+    alphabet, or runs of equal entries with zero gaps between some, like
+    the band of a colored alphabet; entries may be negative."""
     free = st.lists(
         st.integers(-max_abs, max_abs), min_size=0, max_size=max_order
     ).map(tuple)
-    return st.one_of(free, _tailed_bands(max_order, max_abs))
+    return st.one_of(free, _tailed_bands(max_order, max_abs), _run_bands(max_order, max_abs))

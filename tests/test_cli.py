@@ -56,8 +56,10 @@ def test_parse_alphabet(spec, expected):
     ("1x", "1x"),
     ("", "''"),
     # PartAlphabet refuses these values and multiplicities; the message
-    # names the spec.
+    # names the spec, and a closed run below 1 is not a threshold.
     ("0", "'0'"),
+    ("0", "part values must be positive integers, got 0"),
+    ("-3", "part values must be positive integers, got -3"),
     ("1x-1", "1x-1"),
     ("1,2x0", "1,2x0"),
 ])

@@ -1,22 +1,27 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compcount import hessenberg
 from compcount.alphabet import PartAlphabet
+from compcount.cli import parse_alphabet
 from compcount.errors import DomainError
 from compcount.hessenberg import (
     build_matrix,
     charpoly,
+    count_weak_minor_sum,
     det_hessenberg,
     minor_sum,
     parse_matrix,
 )
-from compcount.recurrence import count_compositions
+from compcount.recurrence import count_compositions, count_weak_convolution
 from compcount.verify import BATTERY
 from compcount.weakforms import count_weak_unrestricted_closed
 
 from paper_refs import (
+    charpoly_table_row,
     dense_matrix,
     det_bareiss,
     fibonacci,
@@ -312,3 +317,98 @@ def test_parse_matrix_rejects_bad_grids():
         parse_matrix("1 2\n3")
     with pytest.raises(ValueError):
         parse_matrix("1 x\n3 4")
+
+
+# The two loops of the charpoly table, forced in turn through the one rule
+# that picks between them: packed rows at the band's exact slot width, or
+# the column loop.
+LOOPS = {
+    "rows": lambda band, terms, slots, cells: hessenberg._slot_width(band),
+    "columns": lambda band, terms, slots, cells: 0,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(bands(max_order=40))
+def test_both_loops_read_the_table_cell_by_cell(band):
+    n = len(band)
+    row = charpoly_table_row(band)
+    expected = (tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row)),
+                [row[n - r] for r in range(n + 1)])
+    assert det_hessenberg(band) == row[0]
+    for loop, rule in LOOPS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hessenberg, "_packed_width", rule)
+            assert (charpoly(band), [minor_sum(band, r) for r in range(n + 1)]) == expected, loop
+
+
+def test_the_terms_read_runs_of_three_or_more_as_two_edges():
+    # 1, 2x2, 0, three 4s, a 1, then a tail of 5s from lag 9.
+    band = (1, 2, 2, 0, 4, 4, 4, 1, 5, 5, 5, 5)
+    assert hessenberg._terms(band) == (((-1, 1), (-2, 2), (-3, 2), (-8, 1)),
+                                       ((-5, 4), (-8, -4), (-9, 5)))
+    assert det_hessenberg(band) == charpoly_table_row(band)[0]
+
+
+def _loop_used(monkeypatch, run):
+    """The loop, "rows" or "columns", that ``run`` reads the table with,
+    and what ``run`` returns."""
+    used = []
+    columns = hessenberg._charpoly_columns
+    monkeypatch.setattr(hessenberg, "_charpoly_columns",
+                        lambda *args: used.append("columns") or columns(*args))
+    value = run()
+    return used[0] if used else "rows", value
+
+
+@pytest.mark.parametrize("k,loop", [(5, "columns"), (6, "rows")])
+def test_weak_minors_take_packed_rows_from_six_zeros_at_n_100(monkeypatch, k, loop):
+    # Either side of the rule's edge on `all` at n = 100: rows of k + 1 = 7
+    # slots of 152 bits are the narrowest that beat columns of 101 cells.
+    alphabet = PartAlphabet.at_least(1)
+    assert _loop_used(monkeypatch, lambda: count_weak_minor_sum(100, k, alphabet)) \
+        == (loop, count_weak_unrestricted_closed(100, k))
+
+
+@pytest.mark.parametrize("n,loop", [(1607, "rows"), (1608, "columns")])
+def test_the_charpoly_of_all_leaves_packed_rows_at_order_1608(monkeypatch, n, loop):
+    # Either side of the rule's edge: slots of 2232 bits at 1607, where
+    # moving a slot's bits costs as much as the interpreter's work per cell.
+    band = build_matrix(PartAlphabet.at_least(1), n)
+    used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
+    assert (used, poly[0], poly[n]) == (loop, (-1) ** n * 2 ** (n - 1), 1)
+
+
+@pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (10**5, "columns")])
+def test_packed_rows_hold_a_ring_of_at_most_ring_bits(monkeypatch, ring_bits, loop):
+    # upto:30 at order 60 holds 31 + 64 rows of 61 slots of 88 bits: 509 960 bits.
+    monkeypatch.setattr(hessenberg, "RING_BITS", ring_bits)
+    band = build_matrix(PartAlphabet.upto(30), 60)
+    used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
+    assert (used, poly[0]) == (loop, count_compositions(60, PartAlphabet.upto(30)))
+
+
+def test_weak_minors_far_past_n_never_compute_a_slot_width(monkeypatch):
+    # 10^5 + 1 columns of six cells: the free lower bound on w already
+    # picks the columns, so no determinant of order 10^5 is spent on w.
+    monkeypatch.setattr(hessenberg, "_slot_width", lambda band: pytest.fail("w computed"))
+    alphabet = PartAlphabet.at_least(1)
+    assert count_weak_minor_sum(5, 10**5, alphabet) == count_weak_convolution(5, 10**5, alphabet)
+
+
+@pytest.mark.parametrize("n,k,spec", [(2000, 10, "upto:1999"), (50, 2000, "all")])
+def test_weak_minors_equal_the_weak_series_at_large_orders(n, k, spec):
+    alphabet = parse_alphabet(spec)
+    assert count_weak_minor_sum(n, k, alphabet) == count_weak_convolution(n, k, alphabet)
+
+
+def test_the_determinant_holds_a_window_of_rows_not_the_column():
+    band = build_matrix(PartAlphabet.at_least(1), 40000)
+    tracemalloc.start()
+    try:
+        value = det_hessenberg(band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 2**39999
+    assert peak < 2**20

@@ -49,7 +49,7 @@ def _charpoly(alphabet):
 ROUTES = {
     "series_term": (lambda a: count_compositions(9, a), "recurrence.series_term"),
     "series": (lambda a: count_weak_convolution(6, 2, a), "recurrence.divide_series"),
-    "charpoly": (_charpoly, "hessenberg._charpoly_columns"),
+    "charpoly": (_charpoly, "hessenberg._last_row"),
     "brute": (_brute, "enumeration.weak_brute_table"),
     "unrestricted_closed": (lambda a: count_weak_unrestricted_closed(6, 2),
                             "weakforms.count_weak_unrestricted_closed"),
