@@ -17,14 +17,16 @@ term of the band's runs (a run of one or two entries a term per entry, a
 longer run two, the constant tail one), holding only the last reach
 rows; so `upto:1000` at 2000 costs what `all` costs. charpoly: the last row of
 the table, either n packed rows, each a shift and an addition per term
-on one int of up to n + 1 slots, or, past the rule's edge (`all` at
-2000), n + 1 columns, O(n^2) cells of the same additions; `upto:3`,
-`1x2,3` and `1,2x2,5` at 250 are the benchmark's shapes. minors: the
-weak count with six zeros as the sum of order-n minors of the order-(n+6)
-matrix, and at (n, k) with k zeros: packed rows cut to k + 1 slots, or
-k + 1 columns cut to n + 1 cells, as the rule picks; the columns where k
-is past n (`all` at (5, 10^5) and (50, 2000)) or the cells are wide
-(`upto:1999` at (2000, 10), whose one run is two terms). conv: weak
+on one int of n + 1 slots, or, where the cells are too wide (`all` at
+2000) or the ring of rows too large, n + 1 columns, O(n^2) cells of the
+same additions; `upto:3`, `1x2,3` and `1,2x2,5` at 250 are the
+benchmark's shapes. minors: the weak count with k zeros, six where no k
+is given, as the sum of order-n minors of the order-(n+k) matrix, always
+read from k + 1 columns cut to n + 1 cells: where k is past n (`all` at
+(5, 10^5) and (50, 2000)), where the cells are wide (`upto:1999` at
+(2000, 10), whose one run is two terms), and at mid k (`atleast:2` at
+(500, 50), `upto:3` at (1000, 100)), which packed rows cut to k + 1 slots
+would take in half to three quarters of the time. conv: weak
 counts with two zeros as the series of N^3 / D^3, N^3 divided three
 times by D in place, O(n * r) for r nonzero lags of D, on `all` and
 `atleast:5`, on the intervals `upto:13`, `upto:50` and `upto:2000` (run
@@ -100,7 +102,8 @@ POINTS = {
                  ("upto:3", 250, 220), ("1x2,3", 250, 286), ("1,2x2,5", 250, 257)),
     # n, or (n, k) for a weak count with k zeros instead of six
     "minors": (("all", 1000), ("all", 5000), ("all", 10000), ("upto:1999", (2000, 10), 2077),
-               ("all", (5, 10**5), 77), ("all", (50, 2000), 337)),
+               ("all", (5, 10**5), 77), ("all", (50, 2000), 337),
+               ("atleast:2", (500, 50), 502), ("upto:3", (1000, 100), 1295)),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000)),

@@ -22,20 +22,17 @@ costs O(1) additions per run, whatever the runs' lengths. At y = 2^w a
 row is one int, w bits per slot (Kronecker substitution), and a row is a
 shift and one addition per term, each done in C (_last_row). Only the
 last `reach` rows are held, reach being the farthest lag any term reads:
-reach * slots * w bits (`matrix 600 --charpoly --alphabet upto:300` took
+reach * (n + 1) * w bits (`matrix 600 --charpoly --alphabet upto:300` took
 0.048 s and 42.5 MB, against 1.50 s and 13.8 MB one column at a time).
 w is exact: one bit more than the bits of R_n(1) for the band of |v_d|,
-which bounds every |c_i(n)|. A row cut to its first slots is kept mod 2^(w slots), a
-ring map, so signed bands stay exact. The determinant is the one-slot
-row: plain ints, no w, no mask, so it holds reach cells, not n + 1.
+which bounds every |c_i(n)|. The determinant is the row at w = 0,
+R_j(0) = c_0(j): plain ints, no shift, so it holds reach cells, not n + 1.
 
-Where packed rows lose, the same terms fill the table a column at a time
-(_charpoly_columns): in tables with more columns than cells per column,
-such as the weak minors with k > n, where every packed row still carries
-slot 0, c_0(j) = c(j), and where the cells are so wide that moving their
-bits costs more than the interpreter's work per cell, and where the ring
-of rows would pass RING_BITS. _packed_width picks the loop from the
-table's shape, the band's reach and w before any cell is filled.
+What is read fixes the loop. The determinant, and the order-n minor sum
+c_0(n), take that window of plain-int rows. The characteristic
+polynomial takes packed rows of all n + 1 slots, unless _charpoly_width
+finds its cells too wide or its ring past RING_BITS; then it, like every
+other minor sum, takes the column loop (_charpoly_columns).
 
 Deleting row and column i of such a matrix leaves a block-triangular
 matrix whose diagonal blocks are the order i-1 and order n-i matrices of
@@ -99,19 +96,17 @@ def _reach(terms) -> int:
 BLOCK = 64
 
 
-def _last_row(terms, n: int, slots: int, w: int) -> int:
-    """Row n of the charpoly table as one int, R_n(2^w) mod 2^(w slots):
-    slot i, w bits wide, holds c_i(n) for i < ``slots`` (see _unpack).
-    R_j = y R_{j-1} + sum_d v_d R_{j-d} costs one shift and one addition
-    per term of ``terms``, each in C on the whole row, and at most the
-    last _reach(terms) + BLOCK rows are held. ``slots`` = 1, with w = 0,
-    is the determinant: R_j mod y drops y R_{j-1}, so no shift and no
-    mask."""
+def _last_row(terms, n: int, w: int) -> int:
+    """Row n of the charpoly table as one int, R_n(2^w): slot i, w bits
+    wide, holds c_i(n) (see _unpack). R_j = y R_{j-1} + sum_d v_d R_{j-d}
+    costs one shift and one addition per term of ``terms``, each in C on
+    the whole row, and at most the last _reach(terms) + BLOCK rows are
+    held. w = 0 is the determinant: R_j(0) = c_0(j) drops y R_{j-1}, so no
+    shift."""
     singles, edges = terms
     rows = [0] * _reach(terms) + [1]
     keep = len(rows) - 1
     (lag0, u0), *rest = edges or ((0, 0),)  # the placeholder is never read
-    mask = (1 << w * slots) - 1 if 1 < slots <= n else 0
     run = 0
     for block in range(0, n, BLOCK):
         for _ in range(min(BLOCK, n - block)):
@@ -129,8 +124,6 @@ def _last_row(terms, n: int, slots: int, w: int) -> int:
             if singles:
                 for lag, v in singles:
                     value += rows[lag] if v == 1 else v * rows[lag]
-            if mask:
-                value &= mask
             rows.append(value)
         del rows[:-keep]
     return rows[-1]
@@ -181,7 +174,7 @@ def _slot_width(band: tuple[int, ...]) -> int:
     wide = [abs(v) for v in band]
     if wide:
         wide[0] += 1  # R_j(1) = R_{j-1}(1) + sum_d |v_d| R_{j-d}(1)
-    bound = _last_row(_terms(tuple(wide)), len(wide), 1, 0)
+    bound = _last_row(_terms(tuple(wide)), len(wide), 0)
     return (bound.bit_length() + 8) // 8 * 8
 
 
@@ -205,65 +198,39 @@ CELL_BITS = 4500
 RING_BITS = 2**30
 
 
-def _packed_width(band: tuple[int, ...], terms, slots: int, cells: int) -> int:
-    """The slot width w if packed rows beat the column loop at reading
-    c_i(n) for i < ``slots``, else 0 (the one rule that picks the loop).
-    The column loop fills ``cells`` cells, each CELL_BITS of interpreter
-    work plus an addition of up to w bits. Rows 0..n hold ``held`` slots
-    in all, and a packed row costs about six cells' interpreter work plus
-    three additions of its slots. Its ring of rows must also fit in
-    RING_BITS: a band with a run out to lag K, such as `upto:K`, holds K
-    rows. Wider slots only favour the columns, so the rule is first
-    checked at a lower bound on w that costs nothing, n // m + 2 bits for
-    m the first nonzero lag (R_j(1) >= 2 R_{j-m}(1)), and only then is w
-    itself computed, one determinant."""
-    rows = len(band) + 1
-    held = slots * rows - slots * (slots - 1) // 2
-    ring = (_reach(terms) + BLOCK) * slots
-
-    def packs(w):
-        return (6 * CELL_BITS * rows + 3 * w * held < cells * (CELL_BITS + w)
-                and ring * w <= RING_BITS)
-
-    first = min((-lag for part in terms for lag, _ in part), default=rows)
-    if not packs(len(band) // first + 2):
-        return 0
-    w = _slot_width(band)
-    return w if packs(w) else 0
-
-
-def _row_cells(band: tuple[int, ...], slots: int, width: int):
-    """c_i(n) for i < ``slots``, in order: from the packed last row of the
-    table, or from the last cells of its first ``slots`` columns, each cut
-    to ``width`` + 1 cells, as _packed_width picks. One slot is the
-    determinant's plain-int row."""
-    n, terms = len(band), _terms(band)
-    if slots == 1:
-        return [_last_row(terms, n, 1, 0)]
-    over = max(0, slots - (n - width + 1))  # columns shorter than width + 1
-    cells = slots * (width + 1) - over * (over + 1) // 2
-    w = _packed_width(band, terms, slots, cells)
-    if w:
-        return _unpack(_last_row(terms, n, slots, w), w, slots)
-    return map(itemgetter(-1), _charpoly_columns(terms, n, slots - 1, width))
+def _charpoly_width(band: tuple[int, ...], terms) -> int:
+    """The slot width w if charpoly reads packed rows, else 0 for the
+    columns, decided before any cell is filled. The columns fill
+    (n + 1)(n + 2) / 2 cells of CELL_BITS plus w each; the rows hold as
+    many slots, each three additions of w bits, plus six cells' CELL_BITS
+    per row. So rows win while 12 CELL_BITS < (n + 2)(CELL_BITS - 2w),
+    and while their ring, K rows for a run out to lag K, fits RING_BITS."""
+    n, w = len(band), _slot_width(band)
+    ring = (_reach(terms) + BLOCK) * (n + 1) * w
+    return w if 12 * CELL_BITS < (n + 2) * (CELL_BITS - 2 * w) and ring <= RING_BITS else 0
 
 
 def det_hessenberg(band: tuple[int, ...]) -> int:
-    """Determinant c_0(n): the one-slot row form, plain ints, holding only
-    the last reach rows; a row costs one addition per term."""
-    return _last_row(_terms(band), len(band), 1, 0)
+    """Determinant c_0(n): the row at w = 0, plain ints, holding only the
+    last reach rows; a row costs one addition per term."""
+    return _last_row(_terms(band), len(band), 0)
 
 
 def charpoly(band: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the characteristic polynomial det(xI - M), monic of
     degree n, ascending: the coefficient of x^i is (-1)^(n-i) c_i(n), read
-    from the last row of the charpoly table.
+    from the last row of the charpoly table, packed or column by column as
+    _charpoly_width picks.
 
     The coefficient of x^{n-r} equals (-1)^r times the sum of all order-r
     principal minors.
     """
-    n = len(band)
-    ends = _row_cells(band, n + 1, n)
+    n, terms = len(band), _terms(band)
+    w = _charpoly_width(band, terms)
+    if w:
+        ends = _unpack(_last_row(terms, n, w), w, n + 1)
+    else:
+        ends = map(itemgetter(-1), _charpoly_columns(terms, n, n, n))
     return tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(ends))
 
 
@@ -275,14 +242,16 @@ def check_minor_order(n: int, order: int):
 
 def minor_sum(band: tuple[int, ...], order: int) -> int:
     """Sum of all order-``order`` principal minors, c_{n-r}(n) for
-    r = ``order``: slot n-r of the last row cut to n-r+1 slots, or the
+    r = ``order``: the determinant at r = n, else the last cell of the
     first n-r+1 columns of the charpoly table cut to r+1 cells each,
     (n-r+1) * (r+1) cells; unguarded."""
     n = len(band)
     check_minor_order(n, order)
-    for cell in _row_cells(band, n - order + 1, order):
+    if order == n:
+        return det_hessenberg(band)
+    for column in _charpoly_columns(_terms(band), n, n - order, order):
         pass  # only the last is read
-    return cell
+    return column[-1]
 
 
 def count_weak_minor_sum(n: int, k: int, alphabet: PartAlphabet) -> int:

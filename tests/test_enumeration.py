@@ -231,6 +231,27 @@ def test_the_walk_answers_while_it_visits_under_two_to_the_budget(
         weak_brute_table(max_n, max_k, PartAlphabet.at_least(1))
 
 
+def test_the_cell_table_holds_0x110000_cells_and_no_more(monkeypatch):
+    # On the one part 1 under a guard of 65535, max_n = 65535 leaves 65536
+    # sums, so 16 zeros take 65536 * 17 = 0x110000 cells, the most the
+    # table may hold, and 17 zeros a row of cells more. The walk that gets
+    # past the check is stopped at the budget line after it, whose max()
+    # compares DEFAULT_GUARD.
+    class Stop(Exception):
+        pass
+
+    class Halt:
+        def __gt__(self, other):
+            raise Stop
+
+    monkeypatch.setenv("COMPCOUNT_GUARD", "65535")
+    monkeypatch.setattr(enumeration, "DEFAULT_GUARD", Halt())
+    with pytest.raises(Stop):
+        weak_brute_table(65535, 16, PartAlphabet.of(1))
+    with pytest.raises(GuardExceeded, match=r"needs 1179648 \(sum, zeros\) cells"):
+        weak_brute_table(65535, 17, PartAlphabet.of(1))
+
+
 def test_negative_targets_rejected():
     with pytest.raises(DomainError):
         count_compositions_brute(-1, PartAlphabet.upto(2))

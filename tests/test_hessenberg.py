@@ -319,12 +319,12 @@ def test_parse_matrix_rejects_bad_grids():
         parse_matrix("1 x\n3 4")
 
 
-# The two loops of the charpoly table, forced in turn through the one rule
-# that picks between them: packed rows at the band's exact slot width, or
-# the column loop.
+# The two loops of charpoly, forced in turn through the seam that picks
+# between them: packed rows at the band's exact slot width, or the column
+# loop.
 LOOPS = {
-    "rows": lambda band, terms, slots, cells: hessenberg._slot_width(band),
-    "columns": lambda band, terms, slots, cells: 0,
+    "rows": lambda band, terms: hessenberg._slot_width(band),
+    "columns": lambda band, terms: 0,
 }
 
 
@@ -333,13 +333,13 @@ LOOPS = {
 def test_both_loops_read_the_table_cell_by_cell(band):
     n = len(band)
     row = charpoly_table_row(band)
-    expected = (tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row)),
-                [row[n - r] for r in range(n + 1)])
     assert det_hessenberg(band) == row[0]
-    for loop, rule in LOOPS.items():
+    assert [minor_sum(band, r) for r in range(n + 1)] == [row[n - r] for r in range(n + 1)]
+    expected = tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row))
+    for loop, width in LOOPS.items():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hessenberg, "_packed_width", rule)
-            assert (charpoly(band), [minor_sum(band, r) for r in range(n + 1)]) == expected, loop
+            patch.setattr(hessenberg, "_charpoly_width", width)
+            assert charpoly(band) == expected, loop
 
 
 def test_the_terms_read_runs_of_three_or_more_as_two_edges():
@@ -361,15 +361,6 @@ def _loop_used(monkeypatch, run):
     return used[0] if used else "rows", value
 
 
-@pytest.mark.parametrize("k,loop", [(5, "columns"), (6, "rows")])
-def test_weak_minors_take_packed_rows_from_six_zeros_at_n_100(monkeypatch, k, loop):
-    # Either side of the rule's edge on `all` at n = 100: rows of k + 1 = 7
-    # slots of 152 bits are the narrowest that beat columns of 101 cells.
-    alphabet = PartAlphabet.at_least(1)
-    assert _loop_used(monkeypatch, lambda: count_weak_minor_sum(100, k, alphabet)) \
-        == (loop, count_weak_unrestricted_closed(100, k))
-
-
 @pytest.mark.parametrize("n,loop", [(1607, "rows"), (1608, "columns")])
 def test_the_charpoly_of_all_leaves_packed_rows_at_order_1608(monkeypatch, n, loop):
     # Either side of the rule's edge: slots of 2232 bits at 1607, where
@@ -389,11 +380,14 @@ def test_packed_rows_hold_a_ring_of_at_most_ring_bits(monkeypatch, ring_bits, lo
 
 
 def test_weak_minors_far_past_n_never_compute_a_slot_width(monkeypatch):
-    # 10^5 + 1 columns of six cells: the free lower bound on w already
-    # picks the columns, so no determinant of order 10^5 is spent on w.
+    # Weak minors read the columns whatever the table's shape, so no
+    # determinant of the order n + k matrix is spent on w: neither for
+    # 10^5 + 1 columns of six cells on all nor for 51 columns of 501 cells
+    # on atleast:2.
     monkeypatch.setattr(hessenberg, "_slot_width", lambda band: pytest.fail("w computed"))
-    alphabet = PartAlphabet.at_least(1)
-    assert count_weak_minor_sum(5, 10**5, alphabet) == count_weak_convolution(5, 10**5, alphabet)
+    for n, k, spec in ((5, 10**5, "all"), (500, 50, "atleast:2")):
+        alphabet = parse_alphabet(spec)
+        assert count_weak_minor_sum(n, k, alphabet) == count_weak_convolution(n, k, alphabet)
 
 
 @pytest.mark.parametrize("n,k,spec", [(2000, 10, "upto:1999"), (50, 2000, "all")])
