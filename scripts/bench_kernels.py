@@ -14,25 +14,26 @@ whose D has three nonzero terms. det: the band, filled one slice per run
 of the alphabet, then the determinant as the one-slot row of the
 Hessenberg charpoly table: n rows of plain ints, each one addition per
 term of the band's runs (a run of one or two entries a term per entry, a
-longer run two, the constant tail one), holding only the last reach
-rows; so `upto:1000` at 2000 costs what `all` costs. charpoly: the last row of
-the table, either n packed rows, each a shift and an addition per term
-on one int of n + 1 slots, or, where the cells are too wide (`all` at
-2000) or the ring of rows too large, n + 1 columns, O(n^2) cells of the
-same additions; `upto:3`, `1x2,3` and `1,2x2,5` at 250 are the
-benchmark's shapes. minors: the weak count with k zeros, six where no k
-is given, as the sum of order-n minors of the order-(n+k) matrix, always
-read from k + 1 columns cut to n + 1 cells: where k is past n (`all` at
-(5, 10^5) and (50, 2000)), where the cells are wide (`upto:1999` at
-(2000, 10), whose one run is two terms), and at mid k (`atleast:2` at
-(500, 50), `upto:3` at (1000, 100)), which packed rows cut to k + 1 slots
-would take in half to three quarters of the time. conv: weak
-counts with two zeros as the series of N^3 / D^3, N^3 divided three
-times by D in place, O(n * r) for r nonzero lags of D, on `all` and
-`atleast:5`, on the intervals `upto:13`, `upto:50` and `upto:2000` (run
-form), and on the dense `upto:3` and `1x2,3`; `upto:5` (dense) and
-`upto:6` (run form) at n = 2000 sit either side of the weak series'
-margin.
+longer run two, the constant tail one), holding at most reach + 64
+rows; so `upto:1000` at 2000 costs what `all` costs. charpoly: the last
+row of the table, either n packed rows, each a shift and an addition per
+term on one int of n + 1 slots, or, where the slots are 2240 bits wide
+or more (`all` at 2000) or the ring of rows too large, n + 1 columns,
+O(n^2) cells of the same additions; `upto:3`, `1x2,3` and `1,2x2,5` at
+250 are the benchmark's shapes, and `1,2x2,5` at 1500 (2192-bit slots)
+is packed rows on the shape that a ring trimmed every row slows most.
+minors: the weak count with k zeros, six where no k is given, as the
+sum of order-n minors of the order-(n+k) matrix, always read from k + 1
+columns cut to n + 1 cells: where k is past n (`all` at (5, 10^5) and
+(50, 2000)), where the cells are wide (`upto:1999` at (2000, 10), whose
+one run is two terms), and at mid k (`atleast:2` at (500, 50), `upto:3`
+at (1000, 100)), which packed rows cut to k + 1 slots would take in half
+to three quarters of the time. conv: weak counts with two zeros as the
+series of N^3 / D^3, N^3 divided three times by D in place, O(n * r) for
+r nonzero lags of D, on `all` and `atleast:5`, on the intervals
+`upto:13`, `upto:50` and `upto:2000` (run form), and on the dense
+`upto:3` and `1x2,3`; `upto:5` (dense) and `upto:6` (run form) at
+n = 2000 sit either side of the weak series' margin.
 brute: the brute-force oracle's walk by levels (see enumeration), so
 count_compositions_brute(n) on `all` visits 2^n sequences and
 weak_brute_table(n, k) more, every sequence with sum <= n and at most k
@@ -99,7 +100,8 @@ POINTS = {
                ("upto:50", 10000), ("upto:2000", 10000)),
     "det": (("all", 10000), ("all", 20000), ("all", 40000), ("upto:1000", 2000, 1999)),
     "charpoly": (("all", 250), ("all", 500), ("all", 1000), ("all", 2000),
-                 ("upto:3", 250, 220), ("1x2,3", 250, 286), ("1,2x2,5", 250, 257)),
+                 ("upto:3", 250, 220), ("1x2,3", 250, 286), ("1,2x2,5", 250, 257),
+                 ("1,2x2,5", 1500, 1541)),
     # n, or (n, k) for a weak count with k zeros instead of six
     "minors": (("all", 1000), ("all", 5000), ("all", 10000), ("upto:1999", (2000, 10), 2077),
                ("all", (5, 10**5), 77), ("all", (50, 2000), 337),

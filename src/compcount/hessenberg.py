@@ -20,19 +20,18 @@ terms, a longer run of v over lags a..b, by summation by parts, as v
 constant tail of an unbounded alphabet as a run with no end. So each row
 costs O(1) additions per run, whatever the runs' lengths. At y = 2^w a
 row is one int, w bits per slot (Kronecker substitution), and a row is a
-shift and one addition per term, each done in C (_last_row). Only the
-last `reach` rows are held, reach being the farthest lag any term reads:
-reach * (n + 1) * w bits (`matrix 600 --charpoly --alphabet upto:300` took
-0.048 s and 42.5 MB, against 1.50 s and 13.8 MB one column at a time).
-w is exact: one bit more than the bits of R_n(1) for the band of |v_d|,
-which bounds every |c_i(n)|. The determinant is the row at w = 0,
-R_j(0) = c_0(j): plain ints, no shift, so it holds reach cells, not n + 1.
+shift and one addition per term, each done in C (_last_row). A ring of
+at most reach + BLOCK rows is held, reach being the farthest lag any term
+reads: (reach + BLOCK) * (n + 1) * w bits. w is exact: one bit more than
+the bits of R_n(1) for the band of |v_d|, which bounds every |c_i(n)|.
+The determinant is the row at w = 0, R_j(0) = c_0(j): plain ints, no
+shift, so it holds at most reach + BLOCK cells, not n + 1.
 
 What is read fixes the loop. The determinant, and the order-n minor sum
 c_0(n), take that window of plain-int rows. The characteristic
 polynomial takes packed rows of all n + 1 slots, unless _charpoly_width
-finds its cells too wide or its ring past RING_BITS; then it, like every
-other minor sum, takes the column loop (_charpoly_columns).
+finds its slots SLOT_BITS wide or more, or its ring past RING_BITS; then
+it, like every other minor sum, takes the column loop (_charpoly_columns).
 
 Deleting row and column i of such a matrix leaves a block-triangular
 matrix whose diagonal blocks are the order i-1 and order n-i matrices of
@@ -92,7 +91,9 @@ def _reach(terms) -> int:
 
 
 # Rows _last_row fills between two trims of its ring, so it holds at most
-# _reach(terms) + BLOCK rows.
+# _reach(terms) + BLOCK rows. A trim every row moved `matrix 1500 --charpoly`
+# either way: 317 -> 418 ms on 1,2x2,5, 285 -> 244 ms on upto:3 (whole
+# process, medians of 9, 2-core Xeon, Python 3.11).
 BLOCK = 64
 
 
@@ -189,10 +190,10 @@ def _unpack(packed: int, w: int, slots: int) -> list[int]:
             for at in range(0, size * slots, size)]
 
 
-# The interpreter's work on one cell of the column loop, in bits of int
-# addition that take as long; fitted with scripts/bench_kernels.py on both
-# loops (CHANGES.md has the data).
-CELL_BITS = 4500
+# The first slot width that packed rows leave to the columns: past it, three
+# additions per slot cost more than the column loop's work per cell (fitted
+# with scripts/bench_kernels.py; CHANGES.md has the data).
+SLOT_BITS = 2240
 # The most bits the ring of packed rows may hold (128 MB); the column loop
 # holds two columns.
 RING_BITS = 2**30
@@ -200,19 +201,16 @@ RING_BITS = 2**30
 
 def _charpoly_width(band: tuple[int, ...], terms) -> int:
     """The slot width w if charpoly reads packed rows, else 0 for the
-    columns, decided before any cell is filled. The columns fill
-    (n + 1)(n + 2) / 2 cells of CELL_BITS plus w each; the rows hold as
-    many slots, each three additions of w bits, plus six cells' CELL_BITS
-    per row. So rows win while 12 CELL_BITS < (n + 2)(CELL_BITS - 2w),
-    and while their ring, K rows for a run out to lag K, fits RING_BITS."""
+    columns, decided before any cell is filled: rows while w < SLOT_BITS
+    and their ring, reach + BLOCK rows of n + 1 slots, fits RING_BITS."""
     n, w = len(band), _slot_width(band)
     ring = (_reach(terms) + BLOCK) * (n + 1) * w
-    return w if 12 * CELL_BITS < (n + 2) * (CELL_BITS - 2 * w) and ring <= RING_BITS else 0
+    return w if w < SLOT_BITS and ring <= RING_BITS else 0
 
 
 def det_hessenberg(band: tuple[int, ...]) -> int:
-    """Determinant c_0(n): the row at w = 0, plain ints, holding only the
-    last reach rows; a row costs one addition per term."""
+    """Determinant c_0(n): the row at w = 0, plain ints, holding at most
+    reach + BLOCK rows; a row costs one addition per term."""
     return _last_row(_terms(band), len(band), 0)
 
 

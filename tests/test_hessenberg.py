@@ -370,6 +370,16 @@ def test_the_charpoly_of_all_leaves_packed_rows_at_order_1608(monkeypatch, n, lo
     assert (used, poly[0], poly[n]) == (loop, (-1) ** n * 2 ** (n - 1), 1)
 
 
+@pytest.mark.parametrize("n,loop", [(1531, "rows"), (1532, "columns")])
+def test_the_charpoly_of_a_colored_band_leaves_packed_rows_at_order_1532(monkeypatch, n, loop):
+    # The same edge on singles and a colored run: slots of 2232 bits at
+    # 1531 and of SLOT_BITS = 2240 at 1532.
+    alphabet = parse_alphabet("1,2x2,5")
+    band = build_matrix(alphabet, n)
+    used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
+    assert (used, poly[0], poly[n]) == (loop, (-1) ** n * count_compositions(n, alphabet), 1)
+
+
 @pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (10**5, "columns")])
 def test_packed_rows_hold_a_ring_of_at_most_ring_bits(monkeypatch, ring_bits, loop):
     # upto:30 at order 60 holds 31 + 64 rows of 61 slots of 88 bits: 509 960 bits.
