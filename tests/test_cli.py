@@ -757,14 +757,50 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_te
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
-def test_golden_cli_output(capsys, case):
-    """stdout and exit code match those recorded before the routes they
-    run were last changed (the counts, weak counts and tables moving onto
-    the rational generating function; eq1 and thm12 moving onto the
-    series route; the weak series becoming k + 1 divisions by D; the
-    reports becoming namedtuples with one summary)."""
+def test_golden_cli_output(capsys, monkeypatch, case):
+    """stdout and exit code match those recorded, under the default guard,
+    before the routes they run were last changed (the counts, weak counts
+    and tables moving onto the rational generating function; eq1 and
+    thm12 moving onto the series route; the weak series becoming k + 1
+    divisions by D; the reports becoming namedtuples with one summary).
+    The goldens also hold the CLI's exit-code checks (usage errors, guard
+    refusals, sizes past the machine word, no closed form) and both sides
+    of each cross-route check in _ROUTE_PAIRS, most at sizes the other
+    tests do not reach. CI replays every case through the console script
+    too."""
+    monkeypatch.delenv("COMPCOUNT_GUARD", raising=False)
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+# Two routes to one number, each side a golden case: the minor-sum table
+# against the weak series, a run form against its unbounded form, the
+# binomial closed form against the series and the minors, and the
+# determinant against the recurrence.
+_ROUTE_PAIRS = [
+    ("matrix 22 --minorsum 11", "weak 11 11"),
+    ("weak 2000 10 --alphabet upto:2000", "weak 2000 10 --alphabet all"),
+    ("count 100000 --alphabet upto:1000000000", "count 100000"),
+    ("weak 5 100000", "weak 5 100000 --method closed"),
+    ("matrix 2000 --det --alphabet upto:1000", "count 2000 --alphabet upto:1000"),
+    ("weak 2000 10 --alphabet upto:1999 --method minors",
+     "weak 2000 10 --alphabet upto:1999 --method conv"),
+    ("weak 5 100000 --method minors", "weak 5 100000 --method closed"),
+    ("weak 1000 100 --alphabet upto:3 --method minors",
+     "weak 1000 100 --alphabet upto:3 --method conv"),
+]
+
+
+def test_each_route_pair_is_two_goldens_that_agree():
+    # Re-recording one side of a pair alone, or recording an argv twice,
+    # fails here.
+    recorded = {}
+    for case in GOLDEN:
+        assert " ".join(case["argv"]) not in recorded, case["argv"]
+        recorded[" ".join(case["argv"])] = case
+    for left, right in _ROUTE_PAIRS:
+        assert recorded[left]["exit"] == recorded[right]["exit"] == 0, (left, right)
+        assert recorded[left]["stdout"] == recorded[right]["stdout"] != "", (left, right)
 
 
 def test_a_closed_stdout_pipe_ends_quietly_with_exit_zero():

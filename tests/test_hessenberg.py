@@ -380,9 +380,11 @@ def test_the_charpoly_of_a_colored_band_leaves_packed_rows_at_order_1532(monkeyp
     assert (used, poly[0], poly[n]) == (loop, (-1) ** n * count_compositions(n, alphabet), 1)
 
 
-@pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (10**5, "columns")])
+@pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (509_960, "rows"),
+                                           (509_959, "columns"), (10**5, "columns")])
 def test_packed_rows_hold_a_ring_of_at_most_ring_bits(monkeypatch, ring_bits, loop):
-    # upto:30 at order 60 holds 31 + 64 rows of 61 slots of 88 bits: 509 960 bits.
+    # upto:30 at order 60 holds 31 + 64 rows of 61 slots of 88 bits: 509 960
+    # bits, a ring that fits a bound of exactly its size and no bit less.
     monkeypatch.setattr(hessenberg, "RING_BITS", ring_bits)
     band = build_matrix(PartAlphabet.upto(30), 60)
     used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
