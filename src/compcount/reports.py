@@ -53,29 +53,15 @@ def to_text(report: Report) -> str:
     return "\n".join(lines)
 
 
-_SHORT = dict(zip('"\\\b\f\n\r\t', '"\\bfnrt'))
-
-
 def _quote(text: str) -> str:
-    """``text`` as json.dumps writes it: quoted, with a quote, a backslash
-    and every character outside printable ASCII escaped, one past U+FFFF as
-    its surrogate pair."""
+    """``text`` as json.dumps writes it: plain printable ASCII with no quote
+    or backslash (every string verify passes) is only quoted, so a report
+    loads no json module; any other string goes to json.dumps."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    chars = []
-    for c in text:
-        code = ord(c)
-        if c in _SHORT:
-            chars.append("\\" + _SHORT[c])
-        elif 32 <= code < 127:
-            chars.append(c)
-        else:
-            if code > 0xFFFF:
-                code -= 0x10000
-                chars.append(f"\\u{0xD800 | code >> 10:04x}")
-                code = 0xDC00 | code & 0x3FF
-            chars.append(f"\\u{code:04x}")
-    return '"' + "".join(chars) + '"'
+    import json
+
+    return json.dumps(text)
 
 
 def to_json(reports) -> str:

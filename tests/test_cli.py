@@ -806,11 +806,8 @@ def test_each_route_pair_is_two_goldens_that_agree():
 def test_a_closed_stdout_pipe_ends_quietly_with_exit_zero():
     # `compcount table ... | head -1`: the reader stops after one line and
     # closes the pipe; exit 1 would claim an identity disagreement.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.Popen([sys.executable, "-m", "compcount", "table", "--n-max", "3000"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
     try:
         assert child.stdout.readline() == b"n,count\n"
         child.stdout.close()

@@ -150,8 +150,9 @@ def test_weak_brute_table_allocates_only_for_reachable_sums(monkeypatch):
 
 
 def test_a_walk_past_the_ascii_fast_path_equals_the_series(monkeypatch):
-    # Parts >= 40 leave 162 distinct sums below 200, so the states run past
-    # the 128 code points of str.translate's ASCII fast path.
+    # Parts >= 40 leave 162 distinct sums below 200: a walk over many part
+    # values whose levels are bytes (at most 256 states) and whose states run
+    # past the 128 ASCII values into a byte's high half, under a raised guard.
     monkeypatch.setenv("COMPCOUNT_GUARD", "200")
     alphabet = PartAlphabet.at_least(40)
     table = weak_brute_table(200, 2, alphabet)

@@ -370,11 +370,15 @@ def test_the_charpoly_of_all_leaves_packed_rows_at_order_1608(monkeypatch, n, lo
     assert (used, poly[0], poly[n]) == (loop, (-1) ** n * 2 ** (n - 1), 1)
 
 
-@pytest.mark.parametrize("n,loop", [(1531, "rows"), (1532, "columns")])
-def test_the_charpoly_of_a_colored_band_leaves_packed_rows_at_order_1532(monkeypatch, n, loop):
+@pytest.mark.parametrize("spec,n,loop", [("1,2x2,5", 1531, "rows"), ("1,2x2,5", 1532, "columns"),
+                                         ("atleast:2", 2000, "rows")],
+                         ids=["1531-rows", "1532-columns", "atleast:2-2000-rows"])
+def test_the_charpoly_of_a_colored_band_leaves_packed_rows_at_order_1532(monkeypatch, spec, n, loop):
     # The same edge on singles and a colored run: slots of 2232 bits at
-    # 1531 and of SLOT_BITS = 2240 at 1532.
-    alphabet = parse_alphabet("1,2x2,5")
+    # 1531 and of SLOT_BITS = 2240 at 1532. atleast:2 at order 2000 packs
+    # rows of 2008-bit slots, past the order of the edge on all, through a
+    # band with a head gap and then a tail.
+    alphabet = parse_alphabet(spec)
     band = build_matrix(alphabet, n)
     used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
     assert (used, poly[0], poly[n]) == (loop, (-1) ** n * count_compositions(n, alphabet), 1)
