@@ -14,14 +14,18 @@ whose D has three nonzero terms. det: the band, filled one slice per run
 of the alphabet, then the determinant as the one-slot row of the
 Hessenberg charpoly table: n rows of plain ints, each one addition per
 term of the band's runs (a run of one or two entries a term per entry, a
-longer run two, the constant tail one), holding at most reach + 64
-rows; so `upto:1000` at 2000 costs what `all` costs. charpoly: the last
-row of the table, either n packed rows, each a shift and an addition per
-term on one int of n + 1 slots, or, where the slots are 2240 bits wide
-or more (`all` at 2000) or the ring of rows too large, n + 1 columns,
-O(n^2) cells of the same additions; `upto:3`, `1x2,3` and `1,2x2,5` at
-250 are the benchmark's shapes, and `1,2x2,5` at 1500 (2192-bit slots)
-is packed rows on the shape that a ring trimmed every row slows most.
+longer run two, the constant tail one), holding a ring of the reach + 1
+rows the terms read; so `upto:1000` at 2000 costs what `all` costs.
+charpoly: the last row of the table, either n packed rows, each a shift
+and an addition per term on one int of n + 1 slots, or, where the slots
+are 2240 bits wide or more (`all` at 2000) or the ring of rows too
+large, n + 1 columns, O(n^2) cells of the same additions; `upto:3`,
+`1x2,3` and `1,2x2,5` at 250 are the benchmark's shapes. The rest are
+packed rows near the slot bound: `1,2x2,5` at 1500 (2192-bit slots), a
+band of singles only, where adding the always-zero run of a band with
+no run of three or more entries would copy the whole row every step,
+and `upto:3` at 1500 and `atleast:2` at 2000 (2024- and 2008-bit slots),
+a bounded and an unbounded run, whose peak_mb shows the ring's size.
 minors: the weak count with k zeros, six where no k is given, as the
 sum of order-n minors of the order-(n+k) matrix, always read from k + 1
 columns cut to n + 1 cells: where k is past n (`all` at (5, 10^5) and
@@ -99,7 +103,7 @@ POINTS = {
     "det": (("all", 10000), ("all", 20000), ("all", 40000), ("upto:1000", 2000, 1999)),
     "charpoly": (("all", 250), ("all", 500), ("all", 1000), ("all", 2000),
                  ("upto:3", 250, 220), ("1x2,3", 250, 286), ("1,2x2,5", 250, 257),
-                 ("1,2x2,5", 1500, 1541)),
+                 ("1,2x2,5", 1500, 1541), ("upto:3", 1500, 1319), ("atleast:2", 2000, 1387)),
     # n, or (n, k) for a weak count with k zeros instead of six
     "minors": (("all", 1000), ("all", 5000), ("all", 10000), ("upto:1999", (2000, 10), 2077),
                ("all", (5, 10**5), 77), ("all", (50, 2000), 337),

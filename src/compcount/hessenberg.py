@@ -21,11 +21,11 @@ constant tail of an unbounded alphabet as a run with no end. So each row
 costs O(1) additions per run, whatever the runs' lengths. At y = 2^w a
 row is one int, w bits per slot (Kronecker substitution), and a row is a
 shift and one addition per term, each done in C (_last_row). A ring of
-at most reach + BLOCK rows is held, reach being the farthest lag any term
-reads: (reach + BLOCK) * (n + 1) * w bits. w is exact: one bit more than
-the bits of R_n(1) for the band of |v_d|, which bounds every |c_i(n)|.
-The determinant is the row at w = 0, R_j(0) = c_0(j): plain ints, no
-shift, so it holds at most reach + BLOCK cells, not n + 1.
+reach + 1 rows is held, reach being the farthest lag any term reads:
+(reach + 1) * (n + 1) * w bits. w is exact: one bit more than the bits
+of R_n(1) for the band of |v_d|, which bounds every |c_i(n)|. The
+determinant is the row at w = 0, R_j(0) = c_0(j): plain ints, no shift,
+so it holds reach + 1 cells, not n + 1.
 
 What is read fixes the loop. The determinant, and the order-n minor sum
 c_0(n), take that window of plain-int rows. The characteristic
@@ -90,44 +90,40 @@ def _reach(terms) -> int:
     return max([1, *(-lag for part in terms for lag, _ in part)])
 
 
-# Rows _last_row fills between two trims of its ring, so it holds at most
-# _reach(terms) + BLOCK rows. A trim every row moved `matrix 1500 --charpoly`
-# either way: 317 -> 418 ms on 1,2x2,5, 285 -> 244 ms on upto:3 (whole
-# process, medians of 9, 2-core Xeon, Python 3.11).
-BLOCK = 64
-
-
 def _last_row(terms, n: int, w: int) -> int:
     """Row n of the charpoly table as one int, R_n(2^w): slot i, w bits
     wide, holds c_i(n) (see _unpack). R_j = y R_{j-1} + sum_d v_d R_{j-d}
     costs one shift and one addition per term of ``terms``, each in C on
-    the whole row, and at most the last _reach(terms) + BLOCK rows are
-    held. w = 0 is the determinant: R_j(0) = c_0(j) drops y R_{j-1}, so no
-    shift."""
+    the whole row. A ring of reach + 1 items holds the rows, reach being
+    _reach(terms): row j goes to item at = j mod (reach + 1), over row
+    j - reach - 1, and lag d is item at - d, a negative index wrapping to
+    the ring's end. w = 0 is the determinant: R_j(0) = c_0(j) drops
+    y R_{j-1}, so no shift."""
     singles, edges = terms
-    rows = [0] * _reach(terms) + [1]
-    keep = len(rows) - 1
+    rows = [1] + [0] * _reach(terms)
+    size = len(rows)
     (lag0, u0), *rest = edges or ((0, 0),)  # the placeholder is never read
     run = 0
-    for block in range(0, n, BLOCK):
-        for _ in range(min(BLOCK, n - block)):
-            if edges:
-                run += rows[lag0] if u0 == 1 else u0 * rows[lag0]
-                if rest:
-                    for lag, u in rest:
-                        if u == 1:
-                            run += rows[lag]
-                        elif u == -1:
-                            run -= rows[lag]
-                        else:
-                            run += u * rows[lag]
-            value = (rows[-1] << w) + run if w else run
-            if singles:
-                for lag, v in singles:
-                    value += rows[lag] if v == 1 else v * rows[lag]
-            rows.append(value)
-        del rows[:-keep]
-    return rows[-1]
+    for j in range(1, n + 1):
+        at = j % size
+        if edges:
+            run += rows[at + lag0] if u0 == 1 else u0 * rows[at + lag0]
+            if rest:
+                for lag, u in rest:
+                    if u == 1:
+                        run += rows[at + lag]
+                    elif u == -1:
+                        run -= rows[at + lag]
+                    else:
+                        run += u * rows[at + lag]
+            value = (rows[at - 1] << w) + run if w else run
+        else:  # no run: adding its 0 would copy the whole row
+            value = rows[at - 1] << w if w else 0
+        if singles:
+            for lag, v in singles:
+                value += rows[at + lag] if v == 1 else v * rows[at + lag]
+        rows[at] = value
+    return rows[n % size]
 
 
 def _charpoly_columns(terms, n: int, last: int, width: int):
@@ -202,15 +198,15 @@ RING_BITS = 2**30
 def _charpoly_width(band: tuple[int, ...], terms) -> int:
     """The slot width w if charpoly reads packed rows, else 0 for the
     columns, decided before any cell is filled: rows while w < SLOT_BITS
-    and their ring, reach + BLOCK rows of n + 1 slots, fits RING_BITS."""
+    and their ring, reach + 1 rows of n + 1 slots, fits RING_BITS."""
     n, w = len(band), _slot_width(band)
-    ring = (_reach(terms) + BLOCK) * (n + 1) * w
+    ring = (_reach(terms) + 1) * (n + 1) * w
     return w if w < SLOT_BITS and ring <= RING_BITS else 0
 
 
 def det_hessenberg(band: tuple[int, ...]) -> int:
-    """Determinant c_0(n): the row at w = 0, plain ints, holding at most
-    reach + BLOCK rows; a row costs one addition per term."""
+    """Determinant c_0(n): the row at w = 0, plain ints, holding a ring of
+    reach + 1 rows; a row costs one addition per term."""
     return _last_row(_terms(band), len(band), 0)
 
 

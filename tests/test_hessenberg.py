@@ -384,15 +384,31 @@ def test_the_charpoly_of_a_colored_band_leaves_packed_rows_at_order_1532(monkeyp
     assert (used, poly[0], poly[n]) == (loop, (-1) ** n * count_compositions(n, alphabet), 1)
 
 
-@pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (509_960, "rows"),
-                                           (509_959, "columns"), (10**5, "columns")])
+@pytest.mark.parametrize("ring_bits,loop", [(2**30, "rows"), (171_776, "rows"),
+                                           (171_775, "columns"), (10**5, "columns")])
 def test_packed_rows_hold_a_ring_of_at_most_ring_bits(monkeypatch, ring_bits, loop):
-    # upto:30 at order 60 holds 31 + 64 rows of 61 slots of 88 bits: 509 960
+    # upto:30 at order 60 holds 31 + 1 rows of 61 slots of 88 bits: 171 776
     # bits, a ring that fits a bound of exactly its size and no bit less.
     monkeypatch.setattr(hessenberg, "RING_BITS", ring_bits)
     band = build_matrix(PartAlphabet.upto(30), 60)
     used, poly = _loop_used(monkeypatch, lambda: charpoly(band))
     assert (used, poly[0]) == (loop, count_compositions(60, PartAlphabet.upto(30)))
+
+
+@pytest.mark.parametrize("spec", ["all", "upto:3", "1,2x2,5"])
+def test_packed_rows_peak_near_the_ring_of_the_rows_the_terms_read(spec):
+    # The ring holds reach + 1 rows of n + 1 slots of w bits; the rest of
+    # the peak is a row step's temporaries and the unpacked coefficients.
+    band = build_matrix(parse_alphabet(spec), 1000)
+    row_bytes = 1001 * hessenberg._slot_width(band) // 8
+    tracemalloc.start()
+    try:
+        poly = charpoly(band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly[0] == count_compositions(1000, parse_alphabet(spec))
+    assert peak < (hessenberg._reach(hessenberg._terms(band)) + 8) * row_bytes
 
 
 def test_weak_minors_far_past_n_never_compute_a_slot_width(monkeypatch):

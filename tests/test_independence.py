@@ -216,10 +216,17 @@ def test_every_table_loads_decimal_and_no_other_command_does():
 
 def test_a_count_without_site_loads_neither_collections_nor_functools():
     # A site whose .pth files load these would hide them from the check
-    # above; PartAlphabet is a plain tuple subclass so that no request pays
-    # for them.
-    loaded = _modules_after(_command("count", "5"), "-S")
-    assert {"collections", "functools"} & loaded == set()
+    # above; PartAlphabet is a plain tuple subclass, and the charpoly
+    # table's ring a plain list, so that no request pays for them. Every
+    # command that loads neither verify nor decimal is checked.
+    for argv in (("count", "5"), ("count", "5", "--method", "det"),
+                 ("count", "5", "--method", "brute"),
+                 *(("weak", "5", "1", "--method", method)
+                   for method in ("conv", "minors", "closed", "brute")),
+                 ("matrix", "5", "--det"), ("matrix", "5", "--charpoly"),
+                 ("matrix", "5", "--minorsum", "2")):
+        loaded = _modules_after(_command(*argv), "-S")
+        assert {"collections", "functools"} & loaded == set(), argv
 
 
 @pytest.mark.parametrize("argv,unused", [
