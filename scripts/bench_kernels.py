@@ -38,6 +38,11 @@ r nonzero lags of D, on `all` and `atleast:5`, on the intervals
 `upto:13`, `upto:50` and `upto:2000` (run form), and on the dense
 `upto:3` and `1x2,3`; `upto:5` (dense) and `upto:6` (run form) at
 n = 2000 sit either side of the weak series' margin.
+closed: `weak --method closed` (cli.cmd_weak, so its own choice of
+formula by alphabet): on `upto:2`, term to term from C(n+k, k), at
+(954, 6), the shape of the benchmark's slowest closed requests, and at
+(2000, 10); on `all`, at most n terms of binomials and shifts, at
+(2000, 10).
 brute: the brute-force oracle's walk by levels (see enumeration), so
 count_compositions_brute(n) on `all` visits 2^n sequences and
 weak_brute_table(n, k) more, every sequence with sum <= n and at most k
@@ -85,7 +90,7 @@ import tracemalloc
 from pathlib import Path
 
 import compcount
-from compcount.cli import cmd_table, parse_alphabet
+from compcount.cli import cmd_table, cmd_weak, parse_alphabet
 from compcount.enumeration import count_compositions_brute, weak_brute_table
 from compcount.hessenberg import (
     build_matrix, charpoly, count_weak_minor_sum, det_hessenberg)
@@ -111,6 +116,8 @@ POINTS = {
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
              ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000)),
+    "closed": (("upto:2", (954, 6), 709), ("upto:2", (2000, 10), 1472),
+               ("all", (2000, 10), 2077)),
     # (n-max, k): all, upto:3 and a wide-row alphabet; b-files of
     # 2400-2600 and 1900-3200 rows; the 20 000-row table.
     "serialize": (("all", (1000, 0)), ("all", (1500, 0)), ("all", (2000, 0)),
@@ -157,6 +164,8 @@ KERNELS = {
     "charpoly": lambda n, a: charpoly(build_matrix(a, n))[0],
     "minors": _minors,
     "conv": lambda n, a: count_weak_convolution(n, 2, a),
+    "closed": lambda size, a: next(cmd_weak(
+        {"n": size[0], "k": size[1], "alphabet": a, "method": "closed"})),
     "brute": _brute,
 }
 

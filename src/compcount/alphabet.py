@@ -9,23 +9,11 @@ adds q (x^a - x^(b+1)) / (1 - x) to the generating function, so the runs
 give it in two forms: the dense 1 / (1 - sum_v q_v x^v), one term per
 value, and the run form (1 - x) / ((1 - x) - sum_runs q (x^a - x^(b+1))).
 
-Counts are plain Python ``int``. An alphabet is a one-item tuple of its
-runs, so it is immutable and hashable and can key caches.
+Counts are plain Python ``int``. An alphabet is the tuple of its runs,
+so it is immutable and hashable and can key caches.
 """
 
 from .errors import DomainError
-
-
-def runs(pairs) -> tuple[tuple[int, int, int], ...]:
-    """Group (value, count) pairs, in order, into the maximal runs
-    (first, last, count) of consecutive values that share one count."""
-    grouped = []
-    for value, count in pairs:
-        if grouped and grouped[-1][1] + 1 == value and grouped[-1][2] == count:
-            grouped[-1] = (grouped[-1][0], value, count)
-        else:
-            grouped.append((value, value, count))
-    return tuple(grouped)
 
 
 class PartAlphabet(tuple):
@@ -36,6 +24,8 @@ class PartAlphabet(tuple):
             raise DomainError("alphabet needs at least one part value")
         previous, shade = 0, None
         for first, last, colors in runs:
+            if not all(type(x) is int for x in (first, colors, first if last is None else last)):
+                raise DomainError(f"run {(first, last, colors)}: values and colors must be ints")
             if previous is None or first <= previous:
                 raise DomainError(
                     f"part values must be strictly increasing, got {first}" if previous != 0
@@ -48,24 +38,23 @@ class PartAlphabet(tuple):
             if first == previous + 1 and colors == shade:
                 raise DomainError(f"run from {first} continues the run before it")
             previous, shade = last, colors
-        return super().__new__(cls, (runs,))
-
-    @property
-    def runs(self) -> tuple[tuple[int, int | None, int], ...]:
-        return self[0]
-
-    def __getnewargs__(self):  # copy and pickle call __new__ with the runs
-        return (self.runs,)
+        return super().__new__(cls, runs)
 
     def __repr__(self):
-        return f"PartAlphabet({self.runs!r})"
+        return f"PartAlphabet({tuple(self)!r})"
 
     @classmethod
     def of(cls, *parts) -> "PartAlphabet":
-        """Build an alphabet from ints or (value, multiplicity) pairs."""
-        return cls(runs(
-            (p, 1) if isinstance(p, int) else (int(p[0]), int(p[1])) for p in parts
-        ))
+        """Build an alphabet from ints or (value, multiplicity) pairs, in
+        order, grouped into the maximal runs (first, last, multiplicity) of
+        consecutive values that share one multiplicity."""
+        runs = []
+        for value, count in ((p, 1) if isinstance(p, int) else p for p in parts):
+            if runs and runs[-1][1] + 1 == value and runs[-1][2] == count:
+                runs[-1] = (runs[-1][0], value, count)
+            else:
+                runs.append((value, value, count))
+        return cls(runs)
 
     @classmethod
     def at_least(cls, threshold: int) -> "PartAlphabet":
@@ -88,12 +77,12 @@ class PartAlphabet(tuple):
         ends at the last, none being 0: a run past x^length costs what an
         open run costs, and a huge part value allocates nothing."""
         edges = {0: 1, 1: -1}
-        for first, last, colors in self.runs:
+        for first, last, colors in self:
             edges[first] = edges.get(first, 0) - colors
             if last is not None:
                 edges[last + 1] = colors  # runs ascend: no edge is at last + 1 yet
         values = sum(float("inf") if last is None else last - first + 1
-                     for first, last, _ in self.runs)
+                     for first, last, _ in self)
         if margin * (2 + len(edges)) <= 2 + values:
             num, terms = (1, -1), [(p, c) for p, c in edges.items() if p < length]
         else:
@@ -107,12 +96,12 @@ class PartAlphabet(tuple):
         """All (value, multiplicity) pairs with value <= limit, ascending."""
         return tuple(
             (v, colors)
-            for first, last, colors in self.runs
+            for first, last, colors in self
             for v in range(first, (limit if last is None else min(last, limit)) + 1)
         )
 
     def __str__(self):
-        *head, (first, last, colors) = self.runs
+        *head, (first, last, colors) = self
         if colors == 1 and not head and (last is None or first == 1):
             return f"atleast:{first}" if last is None else f"upto:{last}"
         # No spec spells an open run after others or with colors: "..." marks it.

@@ -55,7 +55,7 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
     if n < 0:
         raise DomainError(f"matrix order must be >= 0, got {n}")
     band = [0] * n
-    for first, last, colors in alphabet.runs:
+    for first, last, colors in alphabet:
         band[first - 1 : last] = [colors] * (min(n, last or n) - first + 1)
     return tuple(band)
 

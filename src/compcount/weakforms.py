@@ -48,13 +48,20 @@ def count_weak_unrestricted_closed(n: int, k: int) -> int:
 
 def count_weak_parts12_closed(n: int, k: int) -> int:
     """Weak compositions of n with exactly k zeros and positive parts in
-    {1, 2}: sum_{i=0}^{floor(n/2)} C(n+k-i, i) * C(n+k-2i, k)."""
+    {1, 2}: sum_{i=0}^{floor(n/2)} C(n+k-i, i) * C(n+k-2i, k).
+
+    Term i is (n+k-i)! / (i! k! (n-2i)!), so each term is the one before
+    times (n-2i)(n-2i-1) / ((i+1)(n+k-i)), an exact division: the sum
+    steps term to term from C(n+k, k) instead of taking two binomials a
+    term. Only the steps to terms 1..floor(n/2) are taken, so n+k-i >= 2.
+    """
     if n < 0 or k < 0:
         raise DomainError(f"arguments must be >= 0, got n={n}, k={k}")
-    return sum(
-        binomial(n + k - i, i) * binomial(n + k - 2 * i, k)
-        for i in range(n // 2 + 1)
-    )
+    term = total = binomial(n + k, k)
+    for i in range(n // 2):
+        term = term * (n - 2 * i) * (n - 2 * i - 1) // ((i + 1) * (n + k - i))
+        total += term
+    return total
 
 
 def fib_block_closed(n: int, k: int) -> int:

@@ -77,7 +77,7 @@ def test_a_run_of_one_color_values_is_its_interval():
     assert str(PartAlphabet.of(2, 3, 4)) == "2,3,4"
     assert parse_alphabet("1,3") != parse_alphabet("1,2,3") != parse_alphabet("1,2x2,3")
     assert PartAlphabet.upto(2) != (1, 2)
-    assert PartAlphabet.upto(2) != ((1, 2, 1),)
+    assert PartAlphabet.upto(2) == ((1, 2, 1),)
 
 
 @pytest.mark.parametrize("attribute", ["runs", "extra"])
@@ -98,7 +98,7 @@ def test_an_alphabet_cannot_be_changed(attribute):
 def test_an_alphabet_copies_and_pickles_to_an_equal_alphabet(copy_of, alphabet):
     copied = copy_of(alphabet)
     assert type(copied) is PartAlphabet
-    assert (copied, copied.runs, hash(copied)) == (alphabet, alphabet.runs, hash(alphabet))
+    assert (copied, tuple(copied), hash(copied)) == (alphabet, tuple(alphabet), hash(alphabet))
 
 
 @pytest.mark.parametrize("build,message", [
@@ -112,6 +112,10 @@ def test_an_alphabet_copies_and_pickles_to_an_equal_alphabet(copy_of, alphabet):
     (lambda: PartAlphabet(((1, None, 1), (5, 6, 1))), "strictly increasing, got 5"),
     (lambda: PartAlphabet(((1, 2, 1), (3, 4, 1))), "run from 3 continues the run before it"),
     (lambda: PartAlphabet.upto(0), "upper bound must be a positive integer"),
+    (lambda: PartAlphabet.of((2.7, 1)), r"run \(2\.7, 2\.7, 1\): .* must be ints"),
+    (lambda: PartAlphabet.upto(2.5), r"run \(1, 2\.5, 1\): .* must be ints"),
+    (lambda: PartAlphabet.at_least(1.5), r"run \(1\.5, None, 1\): .* must be ints"),
+    (lambda: PartAlphabet.of(True), r"run \(True, True, 1\): .* must be ints"),
 ])
 def test_an_invalid_alphabet_is_a_domain_error(build, message):
     with pytest.raises(DomainError, match=message):

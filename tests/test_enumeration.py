@@ -116,7 +116,7 @@ def test_weak_brute_table_vs_insertion_random_alphabets(alphabet, max_n, max_k):
 
 
 def _colored_with_runs(alphabet):
-    return len(alphabet.runs) > 1 and any(colors > 1 for *_, colors in alphabet.runs)
+    return len(alphabet) > 1 and any(colors > 1 for *_, colors in alphabet)
 
 
 @settings(max_examples=40, deadline=None)

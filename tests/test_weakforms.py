@@ -235,6 +235,15 @@ def test_parts12_closed_matches_brute():
             assert count_weak_parts12_closed(n, k) == count_weak_brute(n, k, alphabet)
 
 
+# The closed form steps term to term with an exact division: at n = k = 0
+# and n = 1 it takes no step, and in the hundreds its terms run to
+# hundreds of digits, where a step that rounded would show.
+@pytest.mark.parametrize("k", [0, 3, 17])
+@pytest.mark.parametrize("n", [0, 1, 300, 517, 901])
+def test_parts12_closed_equals_the_series(n, k):
+    assert count_weak_parts12_closed(n, k) == count_weak_convolution(n, k, PartAlphabet.upto(2))
+
+
 @pytest.mark.parametrize(
     "n,k,closed,convolution",
     [
