@@ -7,15 +7,17 @@ n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, on the wide
 denominator of `upto:1000`, and on `upto:1000000000` at n = 10^5, whose D
 ends at its last term below x^(n+1), so it halves the two terms of all's D
 and costs what `all` costs. series: the weak series with no zeros, the
-first n + 1 terms of N/D, N divided by D in place (divide_series), O(n*r)
-for r nonzero lags of D, which `table` and the weak counts use; `upto:20`,
-`upto:50` and `upto:2000` take the run form of their generating function,
-whose D has three nonzero terms. det: the band, filled one slice per run
-of the alphabet, then the determinant as the one-slot row of the
-Hessenberg charpoly table: n rows of plain ints, each one addition per
-term of the band's runs (a run of one or two entries a term per entry, a
-longer run two, the constant tail one), holding a ring of the reach + 1
-rows the terms read; so `upto:1000` at 2000 costs what `all` costs.
+first n + 1 terms of 1 / (1 - P), 1 divided in place (divide_series) by
+1 - P read from the alphabet's runs, a run of one or two values a term
+per value and a longer run two edges of a running sum, the open tail
+one, O(n*r) for r terms, which `table` and the weak counts use; `all`
+is one edge, and `upto:20`, `upto:50` and `upto:2000` two. det: the
+band, filled one slice per run of the alphabet, then the determinant as
+the one-slot row of the Hessenberg charpoly table: n rows of plain ints,
+each one addition per term of the band's runs (a run of one or two
+entries a term per entry, a longer run two, the constant tail one),
+holding a ring of the reach + 1 rows the terms read; so `upto:1000` at
+2000 costs what `all` costs.
 charpoly: the last row of the table, either n packed rows, each a shift
 and an addition per term on one int of n + 1 slots, or, where the slots
 are 2240 bits wide or more (`all` at 2000) or the ring of rows too
@@ -33,11 +35,12 @@ columns cut to n + 1 cells: where k is past n (`all` at (5, 10^5) and
 one run is two terms), and at mid k (`atleast:2` at (500, 50), `upto:3`
 at (1000, 100)), which packed rows cut to k + 1 slots would take in half
 to three quarters of the time. conv: weak counts with two zeros as the
-series of N^3 / D^3, N^3 divided three times by D in place, O(n * r) for
-r nonzero lags of D, on `all` and `atleast:5`, on the intervals
-`upto:13`, `upto:50` and `upto:2000` (run form), and on the dense
-`upto:3` and `1x2,3`; `upto:5` (dense) and `upto:6` (run form) at
-n = 2000 sit either side of the weak series' margin.
+series of 1 / (1 - P)^3, 1 divided three times by 1 - P in place, O(n * r)
+for r terms of the same runs: on `all` and `atleast:5` (one edge), on the
+intervals `upto:5`, `upto:6`, `upto:13`, `upto:50` and `upto:2000` (two
+edges), on `upto:3` (two edges), and on `1x2,3` and `upto:2` (two
+singles), whose division reads no edge; `upto:2` is the alphabet of eq1
+and thm11.
 closed: `weak --method closed` (cli.cmd_weak, so its own choice of
 formula by alphabet): on `upto:2`, term to term from C(n+k, k), at
 (954, 6), the shape of the benchmark's slowest closed requests, and at
@@ -126,7 +129,7 @@ POINTS = {
                ("atleast:2", (500, 50), 502), ("upto:3", (1000, 100), 1295)),
     "conv": (("all", 100), ("all", 250), ("all", 500), ("upto:50", 500),
              ("upto:2000", 2000), ("upto:3", 5000), ("1x2,3", 5000), ("atleast:5", 3000),
-             ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000)),
+             ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000), ("upto:2", 3000)),
     "closed": (("upto:2", (954, 6), 709), ("upto:2", (2000, 10), 1472),
                ("all", (2000, 10), 2077)),
     # (n-max, k): all, upto:3 and a wide-row alphabet; b-files of

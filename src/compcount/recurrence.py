@@ -2,66 +2,83 @@
 
 Every composition of n >= 1 ends in some allowed value m with one of its
 q colors, so c(n) = sum_i q_i * c(n - m_i) with c(0) = 1, and the counts
-are the series of the alphabet's N(x) / D(x). Two kernels read such a
-quotient: ``divide_series`` turns a prefix of N into the same prefix of
-N / D in place, for callers that need every term, and ``series_term``
-finds the single coefficient [x^n] by Bostan-Mori halving, in O(log n)
-polynomial products and without the O(n^2) bits of a prefix. The
-sequence a_{m+1} = c(m) is also exactly the determinant sequence of the
-banded Hessenberg matrices built elsewhere.
+are the series of 1 / (1 - P), P = sum_v q_v x^v, or of the alphabet's
+N(x) / D(x). ``series_term`` finds the single coefficient [x^n] of N / D by
+Bostan-Mori halving, in O(log n) polynomial products and without the
+O(n^2) bits of a prefix; ``divide_series`` turns a prefix of a series into
+the same prefix of its quotient by 1 - P, in place, for callers that need
+every term. The sequence a_{m+1} = c(m) is also exactly the determinant
+sequence of the banded Hessenberg matrices built elsewhere.
 
 A weak composition of n with exactly k zeros is cut by its zeros into
-k+1 (possibly empty) zero-free blocks, so its count is the (k+1)-fold
-convolution of the zero-free counts, [x^n] (N / D)^(k+1): N^(k+1), which
-is 1 or the signed binomial row of (1 - x)^(k+1), divided k + 1 times by
-D, which ``weak_counts`` reads as a prefix.
+k+1 (possibly empty) zero-free blocks, so its count is [x^n] 1 / (1 -
+P)^(k+1), the (k+1)-fold convolution of the zero-free counts: 1 divided
+k + 1 times by 1 - P, which ``weak_counts`` reads from the alphabet's runs.
 
 Nothing is cached: every call computes from the generating function.
 """
-
-import math
 
 from .alphabet import PartAlphabet
 from .errors import DomainError
 
 
-def divide_series(terms: list[int], den) -> None:
+def divide_series(terms: list[int], singles, edges) -> None:
     """Replace the prefix ``terms`` of a series S, in place, with the same
-    prefix of S / den, den[0] = 1: t_m = s_m - sum_{i>=1} den_i * t_{m-i},
-    s_m read before it is overwritten. The sum starts from its first term,
-    not 0, and unit lags skip the multiply: either would copy a big int per
-    lag and triple the cost of the two-lag unbounded series. A zero term is
-    stored as 0, so none ends as a Decimal -0 (a zero times a negative lag)."""
-    lags = [(i, -d) for i, d in enumerate(den) if i and d]
-    for m, new in enumerate(terms):
-        for i, q in lags:
-            if i > m:
-                break
-            t = terms[m - i] if q == 1 else q * terms[m - i]
-            new = new + t if new else t
+    prefix of S / (1 - P), P given by (lag >= 1, coefficient) terms: t_m =
+    s_m + sum_singles q t_{m-v} + W_m, W_m = W_{m-1} + sum_edges u t_{m-e},
+    s_m read before it is overwritten. The edges (a, q) and (b + 1, -q) are
+    a run of q colors over a..b, by summation by parts, so W costs two
+    additions a run. A lag past m reads a zero padded after the prefix, so
+    no lag is tested. A sum starts from its first term and unit
+    coefficients skip the multiply: either would copy a big int. A zero is
+    stored as 0, never as a Decimal -0."""
+    size = len(terms)
+    terms += [0] * max((lag for lag, _ in (*singles, *edges)), default=0)
+    run = 0
+    for m in range(size):
+        new = terms[m]
+        if singles:
+            for v, q in singles:
+                t = terms[m - v] if q == 1 else q * terms[m - v]
+                new = new + t if new else t
+        if edges:
+            for e, u in edges:
+                if u == 1:
+                    run += terms[m - e]
+                elif u == -1:
+                    run -= terms[m - e]
+                else:
+                    run += u * terms[m - e]
+            new = new + run if new else run
         terms[m] = new or 0
+    del terms[size:]
 
 
 def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
     """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
-    the first n+1 coefficients of N^(k+1) / D^(k+1). Cell [n] is the
-    (k+1)-fold convolution, the sum over j_1+...+j_{k+1} = n (j_t >= 0) of
-    prod_t c(j_t), c(0) = 1. N is 1 or 1 - x, so N^(k+1) is written out, 1
-    or the signed binomial row of k + 1 cut at x^n, and divided by D k+1
-    times, each O(n r) for the r nonzero lags of D; k = 0 gives c(0..n).
-    The kernel only adds, multiplies by small ints and tests truth, so a
-    seed ``one`` = Decimal(1) in an exact context gives Decimal counts."""
+    the first n+1 coefficients of 1 / (1 - P)^(k+1), cell [n] the (k+1)-fold
+    convolution of c(0..n). P is read from the runs cut at x^n: a run of one
+    or two values as that many singles, a longer one as two edges, merged
+    where runs meet, none past x^n; 1 is divided k+1 times, each O(n r) for
+    the r terms. The kernel only adds, multiplies by small ints and tests
+    truth, so a seed ``one`` = Decimal(1) in an exact context gives Decimals."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
-    # Run form from upto:6 on: fewer lags pay k + 1 times, but up to upto:5
-    # the Decimal series, whose multiplies cost several adds, ran slower.
-    num, den = alphabet.generating_function(n + 1, 1.5)
+    singles, edges = [], {}
+    for first, last, colors in alphabet:
+        if first > n:
+            break
+        last = n if last is None else min(last, n)
+        if last - first < 2:
+            singles += [(v, colors) for v in range(first, last + 1)]
+        else:
+            edges[first] = edges.get(first, 0) + colors
+            if last < n:
+                edges[last + 1] = -colors  # runs ascend: no edge is at last + 1 yet
+    edges = tuple(edges.items())
     terms = [one] + [0] * n
-    if len(num) > 1:  # (1 - x)^(k+1)
-        for j in range(1, min(k + 1, n) + 1):
-            terms[j] = (-1) ** j * math.comb(k + 1, j) * one
     for _ in range(k + 1):
-        divide_series(terms, den)
+        divide_series(terms, singles, edges)
     return terms
 
 

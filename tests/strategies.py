@@ -13,8 +13,8 @@ def alphabets(draw, max_value=8, max_multiplicity=3, max_threshold=4):
     max_value values from lo, an unbounded one {lo, lo+1, ...}, or runs of
     consecutive values that share a color count, each one to five values
     wide, the last ending at most five past max_value. So the weak series'
-    run form is drawn: every open alphabet takes it, and so does an
-    interval of six or more values from 1, or of seven or more from above."""
+    edges are drawn: an open run is one, and a run of three or more values
+    two, merged where two such runs meet."""
     kind = draw(st.sampled_from(("explicit", "interval", "unbounded", "runs")))
     if kind == "unbounded":
         return PartAlphabet.at_least(draw(st.integers(1, max_threshold)))

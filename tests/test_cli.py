@@ -784,7 +784,7 @@ def test_golden_cli_output(capsys, monkeypatch, case):
 
 
 # Two routes to one number, each side a golden case: the minor-sum table
-# against the weak series, a run form against its unbounded form, the
+# against the weak series, an interval as wide as n against its open run, the
 # binomial closed form against the series and the minors, and the
 # determinant against the recurrence.
 _ROUTE_PAIRS = [
@@ -844,7 +844,7 @@ def _str_of_the_int_series(alphabet, n_max, k=None):
 @pytest.mark.parametrize("prec", [None, 3], ids=["int", "decimal"])
 @settings(max_examples=60, deadline=None)
 @given(alphabets(), st.integers(1, 60), st.none() | st.integers(0, 4))
-# A run form with a negative lag times a zero count: -0 in Decimal.
+# Singles and an edge over the zero counts below x^5: a -0 in Decimal would print.
 @example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, None)
 def test_a_table_prints_str_of_the_int_series_on_either_path(prec, alphabet, n_max, k):
     # Every table renders its Decimal series. A caller that computes in ints

@@ -20,6 +20,7 @@ from compcount.weakforms import (
 
 from paper_refs import (
     convolution_power, fibonacci, insertion_sum, sequence_prefix, shifted_fibonacci)
+from residues import P, weak_residues
 from strategies import alphabets
 
 
@@ -54,9 +55,11 @@ def test_binomial_pascal(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(alphabets(), st.integers(0, 60), st.integers(0, 6))
-# A run form with a negative lag times a zero count: -0 unless stored as 0.
+# Two singles and an edge with no end over the zero counts below x^5.
 @example(PartAlphabet(((5, 6, 1), (20, 60, 2))), 30, 0)
-# The narrowest interval from 1 in the run form.
+# A negative end edge, -2 at x^9, times the zero counts: -0 unless stored as 0.
+@example(PartAlphabet(((5, 8, 2),)), 30, 0)
+# A run from 1 read as two edges, its end edge x^7 inside n.
 @example(PartAlphabet.upto(6), 30, 3)
 def test_a_decimal_weak_series_holds_no_negative_zero(alphabet, n, k):
     terms = decimal_weak_counts(n, k, alphabet)
@@ -144,12 +147,38 @@ def test_weak_routes_match_brute_across_battery():
 
 @settings(max_examples=40, deadline=None)
 @given(alphabets(), st.integers(0, 7), st.integers(0, 3))
-# The narrowest interval from 1 in the run form, its edge x^7 inside n.
+# A run from 1 read as two edges, its end edge x^7 inside n.
 @example(PartAlphabet.upto(6), 7, 3)
 def test_weak_routes_match_brute_random(alphabet, n, k):
     brute = weak_brute_table(n, k, alphabet)[n][k]
     assert weak_counts(n, k, alphabet)[n] == brute
     assert count_weak_minor_sum(n, k, alphabet) == brute
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize(
+    "alphabet,n",
+    [
+        # Runs of two values (two singles) against three (two edges).
+        (PartAlphabet.upto(2), 30), (PartAlphabet.upto(3), 30),
+        (PartAlphabet.of(2, 3), 30), (PartAlphabet.of(2, 3, 4), 30),
+        # A bounded run that ends at n - 1 (its end edge x^n), at n and at n + 1.
+        (PartAlphabet(((2, 29, 3),)), 30), (PartAlphabet(((2, 30, 3),)), 30),
+        (PartAlphabet(((2, 31, 3),)), 30),
+        # Long runs that meet: their edges merge, 4: -2 + 1.
+        (PartAlphabet(((1, 3, 2), (4, 6, 1))), 30),
+        # A colored open tail after a run, meeting it and after a gap.
+        (PartAlphabet(((1, 4, 1), (5, None, 2))), 30),
+        (PartAlphabet(((1, 4, 1), (7, None, 3))), 30),
+        # A first value above n (nothing to divide by), and a run ending far past n.
+        (PartAlphabet.of(10**12), 50), (PartAlphabet.upto(10**9), 50),
+    ],
+)
+def test_weak_series_matches_the_dense_residues(alphabet, n, k):
+    # weak_residues divides by the dense 1 - P mod 2^61 - 1 and shares no code with recurrence.
+    want = weak_residues(n, k, alphabet)
+    assert [c % P for c in weak_counts(n, k, alphabet)] == want
+    assert [int(c) % P for c in decimal_weak_counts(n, k, alphabet)] == want
 
 
 @pytest.mark.parametrize(
