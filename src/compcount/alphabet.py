@@ -4,15 +4,16 @@ An alphabet is its runs: the maximal ``(first, last, colors)`` runs of
 consecutive values that share one color count, ascending, where only the
 final run may be open (``last = None``: every value from ``first`` on).
 So ``upto:K`` is the one run ``(1, K, 1)`` whatever K is, and
-``PartAlphabet.of(1, 2) == PartAlphabet.upto(2)``. A run a..b of q colors
-adds q (x^a - x^(b+1)) / (1 - x) to the generating function, so the runs
-give it in two forms: the dense 1 / (1 - sum_v q_v x^v), one term per
-value, and the run form (1 - x) / ((1 - x) - sum_runs q (x^a - x^(b+1))).
-``generating_function`` picks one of the two by the rule beside
-``RUN_FORM_MARGIN``, from the runs alone: no caller chooses a form.
-
-Counts are plain Python ``int``. An alphabet is the tuple of its runs,
-so it is immutable and hashable and can key caches.
+``PartAlphabet.of(1, 2) == PartAlphabet.upto(2)``. ``runs_within(n)`` is
+the one place a run is cut at n: the weak series, the band and
+``parts_within`` read it. A run a..b of q colors adds q (x^a - x^(b+1)) /
+(1 - x) to the generating function, so the runs give it in two forms: the
+dense 1 / (1 - sum_v q_v x^v), one term per value, and the run form
+(1 - x) / ((1 - x) - sum_runs q (x^a - x^(b+1))). ``generating_function``
+picks one by the rule beside ``RUN_FORM_MARGIN``, from the uncut runs on
+purpose (cut ones would flip ``upto(10**9)`` at length 10 to dense), with
+its own cut at x^length: no caller chooses a form. Counts are plain
+``int``; an alphabet is the tuple of its runs: immutable and hashable.
 """
 
 from .errors import DomainError
@@ -106,13 +107,15 @@ class PartAlphabet(tuple):
             den[power] = coefficient
         return num, tuple(den)
 
+    def runs_within(self, limit: int) -> tuple[tuple[int, int, int], ...]:
+        """The runs from a value <= limit, each closed at limit if it is open or ends past it."""
+        return tuple((first, limit if last is None else min(last, limit), colors)
+                     for first, last, colors in self if first <= limit)
+
     def parts_within(self, limit: int) -> tuple[tuple[int, int], ...]:
         """All (value, multiplicity) pairs with value <= limit, ascending."""
-        return tuple(
-            (v, colors)
-            for first, last, colors in self
-            for v in range(first, (limit if last is None else min(last, limit)) + 1)
-        )
+        return tuple((v, colors) for first, last, colors in self.runs_within(limit)
+                     for v in range(first, last + 1))
 
     def __str__(self):
         *head, (first, last, colors) = self

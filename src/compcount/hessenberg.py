@@ -51,14 +51,14 @@ from .errors import DomainError
 
 
 def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
-    """Band of the order-n matrix (n >= 0): the alphabet's color
-    multiplicities, value d at lag d, one slice per run cut at n (so a run
-    past n costs what an open run costs); its determinant counts c(n)."""
+    """Band of the order-n matrix (n >= 0), its determinant c(n): the color
+    count of value d at lag d, one slice per run cut at n by runs_within,
+    the one cut, so a run past n costs what an open run costs."""
     if n < 0:
         raise DomainError(f"matrix order must be >= 0, got {n}")
     band = [0] * n
-    for first, last, colors in alphabet:
-        band[first - 1 : last] = [colors] * (min(n, last or n) - first + 1)
+    for first, last, colors in alphabet.runs_within(n):
+        band[first - 1 : last] = [colors] * (last - first + 1)
     return tuple(band)
 
 

@@ -57,18 +57,15 @@ def divide_series(terms: list[int], singles, edges) -> None:
 def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
     """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
     the first n+1 coefficients of 1 / (1 - P)^(k+1), cell [n] the (k+1)-fold
-    convolution of c(0..n). P is read from the runs cut at x^n: a run of one
-    or two values as that many singles, a longer one as two edges, merged
-    where runs meet, none past x^n; 1 is divided k+1 times, each O(n r) for
-    the r terms. The kernel only adds, multiplies by small ints and tests
+    convolution of c(0..n). P is read from runs_within(n), the one cut at
+    x^n: a run of one or two values as that many singles, a longer one as
+    two edges, merged where runs meet; 1 is divided k+1 times, each O(n r)
+    for the r terms. The kernel only adds, multiplies by small ints and tests
     truth, so a seed ``one`` = Decimal(1) in an exact context gives Decimals."""
     if n < 0 or k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
     singles, edges = [], {}
-    for first, last, colors in alphabet:
-        if first > n:
-            break
-        last = n if last is None else min(last, n)
+    for first, last, colors in alphabet.runs_within(n):
         if last - first < 2:
             singles += [(v, colors) for v in range(first, last + 1)]
         else:

@@ -82,6 +82,35 @@ def test_a_run_of_one_color_values_is_its_interval():
     assert PartAlphabet.upto(None) == PartAlphabet.at_least(1)
 
 
+@pytest.mark.parametrize("alphabet,limit,runs", [
+    (PartAlphabet.upto(10**9), 3, ((1, 3, 1),)),
+    (PartAlphabet.at_least(2), 0, ()),
+    (PartAlphabet.at_least(2), 5, ((2, 5, 1),)),
+    (PartAlphabet.of((1, 2), 3), 2, ((1, 1, 2),)),
+])
+def test_runs_within_cuts_each_run_at_the_limit(alphabet, limit, runs):
+    assert alphabet.runs_within(limit) == runs
+
+
+@settings(max_examples=200)
+@given(alphabets(), st.integers(0, 20))
+def test_runs_within_gives_each_value_up_to_the_limit_its_colors(alphabet, limit):
+    runs = alphabet.runs_within(limit)
+    previous = 0
+    for first, last, colors in runs:  # ascending, inside 1..limit, none empty
+        assert previous < first <= last <= limit and colors >= 1
+        previous = last
+
+    def colors_of(value):  # a scan of the uncut runs
+        for first, last, colors in alphabet:
+            if first <= value and (last is None or value <= last):
+                return colors
+        return 0
+
+    cut = {v: colors for first, last, colors in runs for v in range(first, last + 1)}
+    assert cut == {v: colors_of(v) for v in range(1, limit + 1) if colors_of(v)}
+
+
 @pytest.mark.parametrize("attribute", ["runs", "extra"])
 def test_an_alphabet_cannot_be_changed(attribute):
     # Alphabets key verify's sharing of brute walks within a call.
@@ -791,16 +820,27 @@ def test_golden_cli_output(capsys, monkeypatch, case):
     tests do not reach, and charpolys whose slot bound is a whole number
     of bytes (`1x254`, `1x200` and `1,2x10` at order 4 need the slot's
     byte past that bound for the sign; `1x127`, at the same 8-bit bound,
-    does not). CI replays every case through the console script too."""
+    does not). CI replays every case through the console script too.
+    stderr keeps its contract: empty on exit 0, else one or more lines
+    that start with `compcount: ` and hold no traceback."""
     monkeypatch.delenv("COMPCOUNT_GUARD", raising=False)
-    code, out, _ = run_cli(capsys, *case["argv"])
+    code, out, err = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+    if code:
+        assert err.startswith("compcount: ") and "Traceback" not in err, err
+    else:
+        assert err == ""
 
 
 # Two routes to one number, each side a golden case: the minor-sum table
 # against the weak series, an interval as wide as n against its open run, the
 # binomial closed form against the series and the minors, and the
-# determinant against the recurrence.
+# determinant against the recurrence. The last four are the cut at n
+# (PartAlphabet.runs_within): a run that starts past n and one that crosses
+# n, each read by the weak series and the minors, and by the band's
+# determinant and the count. Runs that end at n, and n at 0 or below the
+# first value, are examples of test_weak_routes_match_brute_random.
+_CUT_CASES = [("2x2,3,11x3,12x3,13x3", 10, 2), ("1x2,4x3,5x3,6x3,7x3,8x3,9x3,10x3", 7, 2)]
 _ROUTE_PAIRS = [
     ("matrix 22 --minorsum 11", "weak 11 11"),
     ("weak 2000 10 --alphabet upto:2000", "weak 2000 10 --alphabet all"),
@@ -812,6 +852,10 @@ _ROUTE_PAIRS = [
     ("weak 5 100000 --method minors", "weak 5 100000 --method closed"),
     ("weak 1000 100 --alphabet upto:3 --method minors",
      "weak 1000 100 --alphabet upto:3 --method conv"),
+    *((f"weak {n} {k} --alphabet {spec} --method conv",
+       f"weak {n} {k} --alphabet {spec} --method minors") for spec, n, k in _CUT_CASES),
+    *((f"count {n} --alphabet {spec} --method det", f"count {n} --alphabet {spec}")
+      for spec, n, _ in _CUT_CASES),
 ]
 
 

@@ -149,6 +149,10 @@ def test_weak_routes_match_brute_across_battery():
 @given(alphabets(), st.integers(0, 7), st.integers(0, 3))
 # A run from 1 read as two edges, its end edge x^7 inside n.
 @example(PartAlphabet.upto(6), 7, 3)
+# The cut at n: a run that ends at n, n below the first value, and n = 0.
+@example(PartAlphabet.of((1, 2), 4, 5, 6, 7, 8), 8, 3)
+@example(PartAlphabet.at_least(5), 3, 2)
+@example(PartAlphabet.of(2, 3, (4, 2)), 0, 1)
 def test_weak_routes_match_brute_random(alphabet, n, k):
     brute = weak_brute_table(n, k, alphabet)[n][k]
     assert weak_counts(n, k, alphabet)[n] == brute
