@@ -49,6 +49,13 @@ formula by alphabet): on `upto:2`, term to term from C(n+k, k), at
 (954, 6), the shape of the benchmark's slowest closed requests, and at
 (2000, 10); on `all`, at most n terms of binomials and shifts, at
 (2000, 10).
+eq1: `verify --identity eq1`'s whole report (verify.check_fib_convolution_identity)
+at max_n 100 and 200 on its alphabet `upto:2`: the weak series side, one
+chain of weak columns, column k cut to the max_n - k + 1 cells read, and
+the closed side, count_weak_parts12_closed per cell, over the max_n^2 / 2
+cells of the grid. The value is the lhs at (max_n, max_n // 2), the weak
+count over `upto:2` at (max_n - max_n // 2, max_n // 2), with its bits
+pinned.
 brute: the brute-force oracle's walk by levels (see enumeration), read
 at its cell [n][k]: with no zeros that is c(n), whose walk visits 2^n
 sequences on `all`, and with k zeros more, every sequence with sum <= n
@@ -88,7 +95,7 @@ holds its spread, (max - min) / median of its RUNS runs. It takes no
 src/compcount, exported by `git archive`, and this checkout's, each
 imported under a name of its own by two_trees.py (beside this script),
 each with its own kernel table and its own alphabet objects. It takes the
-kernel suites only (recurrence ... closed, or all of them for `all`); with
+kernel suites only (recurrence ... brute, or all of them for `all`); with
 serialize or startup, or an unknown REV, it is a usage error (exit 2).
 After one untimed round, each point runs RUNS times on each tree, the trees
 alternating run by run and taking turns to go first. Its line gives each
@@ -151,6 +158,8 @@ POINTS = {
              ("upto:13", 2000), ("upto:5", 2000), ("upto:6", 2000), ("upto:2", 3000)),
     "closed": (("upto:2", (954, 6), 709), ("upto:2", (2000, 10), 1472),
                ("all", (2000, 10), 2077)),
+    # max_n of verify --identity eq1, whose alphabet is always upto:2
+    "eq1": (("upto:2", 100, 118), ("upto:2", 200, 239)),
     # (n-max, k): all, upto:3 and a wide-row alphabet; b-files of
     # 2400-2600 and 1900-3200 rows; the 20 000-row table.
     "serialize": (("all", (1000, 0)), ("all", (1500, 0)), ("all", (2000, 0)),
@@ -183,11 +192,12 @@ def kernels(package="compcount"):
     """Each kernel suite's function of (size, alphabet), from the modules of
     the package imported as ``package``. It reads only long-standing names
     (count_compositions, weak_counts, build_matrix, det_hessenberg,
-    charpoly, count_weak_minor_sum, weak_brute_table and cli.cmd_weak), so
-    that `--against` builds one table from each tree, an older REV's too."""
-    recurrence, hessenberg, enumeration, cli = (
+    charpoly, count_weak_minor_sum, weak_brute_table, cli.cmd_weak and
+    verify.check_fib_convolution_identity), so that `--against` builds one
+    table from each tree, an older REV's too."""
+    recurrence, hessenberg, enumeration, cli, verify = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("recurrence", "hessenberg", "enumeration", "cli"))
+        for name in ("recurrence", "hessenberg", "enumeration", "cli", "verify"))
 
     def brute(size, alphabet):
         n, k = (size, 0) if isinstance(size, int) else size
@@ -196,6 +206,10 @@ def kernels(package="compcount"):
     def minors(size, alphabet):
         n, k = (size, 6) if isinstance(size, int) else size
         return hessenberg.count_weak_minor_sum(n, k, alphabet)
+
+    def eq1(max_n, alphabet):  # the alphabet is eq1's own, upto:2
+        points = verify.check_fib_convolution_identity(max_n).points
+        return points[max_n * (max_n + 1) // 2 + max_n // 2].lhs  # (max_n, max_n // 2)
 
     return {
         "recurrence": recurrence.count_compositions,
@@ -206,6 +220,7 @@ def kernels(package="compcount"):
         "conv": lambda n, a: recurrence.weak_counts(n, 2, a)[n],
         "closed": lambda size, a: next(cli.cmd_weak(
             {"n": size[0], "k": size[1], "alphabet": a, "method": "closed"})),
+        "eq1": eq1,
         "brute": brute,
     }
 

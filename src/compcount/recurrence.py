@@ -13,7 +13,7 @@ sequence of the banded Hessenberg matrices built elsewhere.
 A weak composition of n with exactly k zeros is cut by its zeros into
 k+1 (possibly empty) zero-free blocks, so its count is [x^n] 1 / (1 -
 P)^(k+1), the (k+1)-fold convolution of the zero-free counts: 1 divided
-k + 1 times by 1 - P, which ``weak_counts`` reads from the alphabet's runs.
+k + 1 times by 1 - P; ``weak_columns`` yields every k from one chain.
 
 Nothing is cached: every call computes from the generating function.
 """
@@ -54,16 +54,13 @@ def divide_series(terms: list[int], singles, edges) -> None:
     del terms[size:]
 
 
-def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
-    """Weak compositions of 0..n with exactly k zeros over ``alphabet``:
-    the first n+1 coefficients of 1 / (1 - P)^(k+1), cell [n] the (k+1)-fold
-    convolution of c(0..n). P is read from runs_within(n), the one cut at
-    x^n: a run of one or two values as that many singles, a longer one as
-    two edges, merged where runs meet; 1 is divided k+1 times, each O(n r)
-    for the r terms. The kernel only adds, multiplies by small ints and tests
-    truth, so a seed ``one`` = Decimal(1) in an exact context gives Decimals."""
-    if n < 0 or k < 0:
-        raise DomainError(f"target and zero count must be >= 0, got n={n}, k={k}")
+def weak_columns(n: int, max_k: int, alphabet: PartAlphabet, one=1):
+    """Column k = 0..max_k of the weak series to x^n: the prefix after division
+    k+1 of 1 by 1 - P (a copy, but for the last), P read from runs_within(n),
+    runs of one or two values as singles, longer ones as two edges. It only
+    adds, multiplies by small ints and tests truth: one = Decimal(1) gives Decimals."""
+    if n < 0 or max_k < 0:
+        raise DomainError(f"target and zero count must be >= 0, got n={n}, k={max_k}")
     singles, edges = [], {}
     for first, last, colors in alphabet.runs_within(n):
         if last - first < 2:
@@ -74,9 +71,17 @@ def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
                 edges[last + 1] = -colors  # runs ascend: no edge is at last + 1 yet
     edges = tuple(edges.items())
     terms = [one] + [0] * n
-    for _ in range(k + 1):
+    for k in range(max_k + 1):
         divide_series(terms, singles, edges)
-    return terms
+        yield terms if k == max_k else terms[:]  # no division follows the last
+
+
+def weak_counts(n: int, k: int, alphabet: PartAlphabet, one=1) -> list[int]:
+    """The last column of weak_columns(n, k, alphabet, one)."""
+    columns = weak_columns(n, k, alphabet, one)
+    for _ in range(k):  # each dropped at once, so none outlives the next division
+        next(columns)
+    return next(columns)
 
 
 def decimal_weak_counts(n: int, k: int, alphabet: PartAlphabet) -> list:

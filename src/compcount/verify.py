@@ -16,7 +16,7 @@ from .alphabet import PartAlphabet
 from .enumeration import weak_brute_table
 from .errors import DomainError
 from .hessenberg import weak_minor_table
-from .recurrence import weak_counts
+from .recurrence import weak_columns
 from .reports import GridPoint, Report
 from .weakforms import count_weak_parts12_closed, count_weak_unrestricted_closed, fib_block_closed
 
@@ -43,11 +43,11 @@ def _report(identity, cells, lhs_label, rhs_label, notes=()) -> Report:
 
 def check_fib_convolution_identity(max_n: int) -> Report:
     """Fibonacci self-convolution vs its binomial double sum, 0 <= k <= n.
-    F_{j+1} counts the compositions of j into parts {1, 2}, so the
-    (k+1)-fold convolution at n - k is the weak count over {1, 2} at
-    (n - k, k), set against that count's closed form. One weak series per
-    k holds that count for every n of the grid."""
-    columns = [weak_counts(max_n - k, k, PartAlphabet.upto(2)) for k in range(max_n + 1)]
+    F_{j+1} counts the compositions of j into parts {1, 2}, so the (k+1)-fold
+    convolution at n - k is the weak count over {1, 2} at (n - k, k): column
+    k of one chain, cut to the max_n - k + 1 cells read, vs its closed form."""
+    columns = [column[: max_n - k + 1]
+               for k, column in enumerate(weak_columns(max_n, max_n, PartAlphabet.upto(2)))]
     cells = ((n, k, columns[k][n - k], count_weak_parts12_closed(n - k, k))
              for n in range(max_n + 1) for k in range(n + 1))
     return _report("eq1", cells, "fib_convolution", "binomial_sum")
@@ -86,11 +86,8 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     # One table holds every brute count read below: totals up to
     # max_n + max_k - 1 with k zeros, and max_n + 1 with none.
     brute = weak_brute_table(max(max_n + max_k - 1, max_n + 1), max_k, PartAlphabet.at_least(2))
-    # The convolution at n is the weak count over the odd parts up to n; a
-    # part above n never reaches a count at n, so one series per k over
-    # the odd parts up to max_n holds every n of the grid.
-    odd = PartAlphabet.of(*range(1, max_n + 1, 2))
-    columns = [weak_counts(max_n, k, odd) for k in range(max_k + 1)]
+    # The convolution at n is the weak count over the odd parts; none above max_n counts.
+    columns = list(weak_columns(max_n, max_k, PartAlphabet.of(*range(1, max_n + 1, 2))))
     cells = ((n, k, fib_block_closed(n, k), columns[k][n], brute[n + k - 1][k])
              for n in range(1, max_n + 1) for k in range(max_k + 1))
     shifted = all(columns[0][n] == brute[n + 1][0] for n in range(1, max_n + 1))
@@ -99,17 +96,15 @@ def adjudicate_fib_block_identity(max_n: int, max_k: int) -> Report:
     return _report("thm12", cells, "closed", "convolution", notes)
 
 
-# name -> (brute, max_n, max_k) -> reports, brute being run_identity's
-# shared weak_brute_table. thm8 and thm9 run the weak series and the
-# minor-sum routes over the battery: one weak series per k, and the
-# charpoly table of the order max_n + max_k matrix, whose cell n of column
-# k, c_k(n + k), is thm9's count. thm10 (n >= 1) and thm11 set the closed
-# forms for unrestricted parts and for parts {1, 2} against brute. eq1 and
-# thm12 read one weak series per k, over {1, 2} and the odd parts.
+# name -> (brute, max_n, max_k) -> reports, brute being run_identity's shared
+# weak_brute_table. Each weak-series side reads one chain of weak columns:
+# thm8 per battery alphabet, eq1 over {1, 2}, thm12 over the odd parts. thm9
+# reads the minors' columns, cell n of column k being c_k(n + k) of the order
+# max_n + max_k charpoly table. thm10 (n >= 1) and thm11 set the closed forms
+# for unrestricted parts and for parts {1, 2} against brute.
 _REPORT_BUILDERS = {
     "eq1": lambda brute, max_n, max_k: [check_fib_convolution_identity(max_n)],
-    "thm8": partial(_battery, "thm8", lambda a, max_n, max_k: [
-        weak_counts(max_n, k, a) for k in range(max_k + 1)]),
+    "thm8": partial(_battery, "thm8", lambda a, n, k: list(weak_columns(n, k, a))),
     "thm9": partial(_battery, "thm9", weak_minor_table),
     # An empty grid (max_n = 0) reads no brute count, so it meets no guard.
     "thm10": lambda brute, max_n, max_k: [_oracle_grid(

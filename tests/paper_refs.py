@@ -6,7 +6,8 @@ entry by entry from its band, its charpoly table cell by cell, its
 principal minors, by fraction-free (Bareiss) elimination and as products
 of counts, their sums of a fixed order by expanding every index subset,
 a stream of every colored composition, with the weak counts it gives by inserting zeros, that
-checks the brute walk, and a report as the dict whose json.dumps the JSON renderer must print."""
+checks the brute walk, the whole weak-count table by a walk over partitions (Trudi's formula),
+and a report as the dict whose json.dumps the JSON renderer must print."""
 
 import itertools
 import math
@@ -236,6 +237,40 @@ def insertion_sum(n: int, k: int, alphabet: PartAlphabet) -> int:
     compositions of n, for any k: only n is guarded."""
     lengths = Counter(map(len, enumerate_compositions(n, alphabet)))
     return sum(count * math.comb(p + k, k) for p, count in lengths.items())
+
+
+def partition_table(max_n: int, max_k: int, alphabet: PartAlphabet) -> tuple[tuple[int, ...], ...]:
+    """t[n][k]: the weak compositions of n with exactly k zeros over
+    ``alphabet``, for every n <= max_n and k <= max_k, by Trudi's formula for
+    the determinant of a Toeplitz-Hessenberg matrix as Merca (2013) restates
+    it. A composition is a partition put in some order: one with l parts,
+    m_d of them equal to d, has (l + k)! / (k! prod_d m_d!) orders with k
+    zeros among them, and prod_d q_d^(m_d) colorings for q_d colors of d.
+
+    One walk visits each partition of each m <= max_n once, parts ascending,
+    from a stack of (sum, index of the largest part, its multiplicity, part
+    count, colorings, prod_d m_d!), not by recursion. It shares no kernel
+    with any route: no series, band, minor, closed form or sequence walk,
+    only its own factorials and products."""
+    if max_n < 0 or max_k < 0:
+        raise DomainError(f"target and zero count must be >= 0, got n={max_n}, k={max_k}")
+    parts = alphabet.parts_within(max_n)
+    factorial = [math.factorial(i) for i in range(max_n + max_k + 1)]
+    table = [[0] * (max_k + 1) for _ in range(max_n + 1)]
+    stack = [(0, 0, 0, 0, 1, 1)]  # the empty partition, of 0
+    while stack:
+        total, last, run, length, colorings, repeats = stack.pop()
+        row = table[total]
+        for k in range(max_k + 1):
+            row[k] += colorings * (factorial[length + k] // (factorial[k] * repeats))
+        for i in range(last, len(parts)):
+            value, colors = parts[i]
+            if total + value > max_n:
+                break  # the parts ascend: no larger one fits either
+            again = run + 1 if i == last else 1
+            stack.append((total + value, i, again, length + 1, colorings * colors,
+                          repeats * again))
+    return tuple(map(tuple, table))
 
 
 def to_json_dict(report) -> dict:

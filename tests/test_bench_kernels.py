@@ -1,6 +1,7 @@
 """The kernel timing script's gates, on stand-in kernels, its --record
 point, and its --against mode; --record and --against run the small
-`closed` suite, and no other test here times or runs a real kernel."""
+`closed` suite, one test reads the eq1 kernel at max_n 10, and no other
+test here times or runs a real kernel."""
 
 import importlib.util
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from compcount.cli import parse_alphabet
+from compcount.weakforms import count_weak_parts12_closed
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernels.py"
 _SPEC = importlib.util.spec_from_file_location("bench_kernels", _PATH)
@@ -50,6 +52,18 @@ def test_the_recurrence_suite_times_both_sides_of_the_form_rule():
     for spec, num in (("upto:22", (1,)), ("upto:23", (1, -1)), (colored, (1, -1))):
         assert points[spec] == 10**4
         assert parse_alphabet(spec).generating_function(10**4 + 1)[0] == num
+
+
+def test_the_eq1_suite_pins_the_middle_cell_of_the_last_row():
+    # The cell (max_n, max_n // 2) is the weak count over upto:2 at
+    # (max_n - max_n // 2, max_n // 2), whose closed form sets the pins.
+    eq1 = bench_kernels.KERNELS["eq1"]
+    assert eq1(10, parse_alphabet("upto:2")) == count_weak_parts12_closed(5, 5)
+    assert eq1(11, parse_alphabet("upto:2")) == count_weak_parts12_closed(6, 5)
+    for spec, max_n, bits in bench_kernels.POINTS["eq1"]:
+        half = max_n // 2
+        assert (spec, count_weak_parts12_closed(max_n - half, half).bit_length()) == (
+            "upto:2", bits)
 
 
 @pytest.mark.parametrize("value,code,failures", [(1 << 4, 0, 0), (1 << 5, 1, 1)],

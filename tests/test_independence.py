@@ -24,7 +24,7 @@ import compcount
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import weak_brute_table
 from compcount.hessenberg import build_matrix, count_weak_minor_sum, det_hessenberg
-from compcount.recurrence import count_compositions, weak_counts
+from compcount.recurrence import count_compositions, weak_columns
 from compcount.weakforms import (
     count_weak_parts12_closed,
     count_weak_unrestricted_closed,
@@ -49,7 +49,8 @@ def _charpoly(alphabet):
 # route: (run on an alphabet, its kernel, which the trace must contain)
 ROUTES = {
     "series_term": (lambda a: count_compositions(9, a), "recurrence.series_term"),
-    "series": (lambda a: weak_counts(6, 2, a)[6], "recurrence.divide_series"),
+    # thm8's column k = 2 at n = 6; weak --method conv reads the same chain
+    "series": (lambda a: list(weak_columns(6, 2, a))[2][6], "recurrence.divide_series"),
     "charpoly": (_charpoly, "hessenberg._last_row"),
     "brute": (_brute, "enumeration.weak_brute_table"),
     "unrestricted_closed": (lambda a: count_weak_unrestricted_closed(6, 2),
@@ -58,10 +59,11 @@ ROUTES = {
                        "weakforms.count_weak_parts12_closed"),
     "fib_block_closed": (lambda a: fib_block_closed(6, 2), "weakforms.fib_block_closed"),
     # thm12's convolution side at (6, 2): the weak series over odd parts
-    "fib_block_convolution": (lambda a: weak_counts(6, 2, PartAlphabet.of(1, 3, 5))[6],
+    "fib_block_convolution": (lambda a: list(weak_columns(6, 2, PartAlphabet.of(1, 3, 5)))[2][6],
                               "recurrence.divide_series"),
-    # eq1 at (n, k) = (6, 2) reads both sides at (n - k, k)
-    "fib_convolution": (lambda a: weak_counts(4, 2, PartAlphabet.upto(2))[4],
+    # eq1 at (n, k) = (6, 2) reads both sides at (n - k, k), its series side
+    # from column 2 of the one chain of a max_n = 6 grid
+    "fib_convolution": (lambda a: list(weak_columns(6, 6, PartAlphabet.upto(2)))[2][4],
                         "recurrence.divide_series"),
     "fib_binomial": (lambda a: count_weak_parts12_closed(4, 2), "weakforms.binomial"),
 }

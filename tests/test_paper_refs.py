@@ -1,11 +1,20 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import weak_brute_table
 from compcount.errors import DomainError
-from compcount.recurrence import count_compositions
+from compcount.hessenberg import build_matrix, det_hessenberg, weak_minor_table
+from compcount.recurrence import count_compositions, weak_columns
+from compcount.verify import BATTERY
+from compcount.weakforms import (
+    count_weak_parts12_closed,
+    count_weak_unrestricted_closed,
+    fib_block_closed,
+)
 
-from paper_refs import convolution_power, fibonacci, kstep_fibonacci
+from paper_refs import convolution_power, fibonacci, kstep_fibonacci, partition_table
+from strategies import alphabets
 
 
 def test_fibonacci_seed_and_small_values():
@@ -74,3 +83,47 @@ def test_kstep_counts_bounded_compositions_brute(k):
 def test_kstep_counts_bounded_compositions_recurrence(k):
     for n in range(30):
         assert kstep_fibonacci(k, n + 1) == count_compositions(n, PartAlphabet.upto(k))
+
+
+def test_the_partition_walk_equals_the_brute_walk_on_the_verify_battery():
+    # verify's default grid, 8 x 3, on every battery alphabet
+    for label, alphabet in BATTERY:
+        assert partition_table(8, 3, alphabet) == weak_brute_table(8, 3, alphabet), label
+
+
+def test_the_partition_walk_refuses_a_negative_size():
+    for n, k in ((-1, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            partition_table(n, k, PartAlphabet.upto(2))
+
+
+ODD = PartAlphabet.of(*range(1, 41, 2))
+# alphabet -> its closed form at (n, k), n >= 1 (thm10, thm11, thm12)
+CLOSED = {
+    PartAlphabet.at_least(1): count_weak_unrestricted_closed,
+    PartAlphabet.upto(2): count_weak_parts12_closed,
+    ODD: fib_block_closed,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(alphabets(), st.sampled_from(tuple(CLOSED))), st.integers(0, 40),
+       st.integers(0, 3))
+@example(PartAlphabet.at_least(1), 40, 3)
+@example(ODD, 40, 3)
+@example(PartAlphabet.of((1, 2), 3, (5, 3)), 40, 3)
+def test_every_route_equals_the_partition_walk(alphabet, n, max_k):
+    # The walk over partitions reaches n = 40 on `all` (p(40) = 37 338)
+    # where the brute walk stops at 25, and shares no kernel with a route.
+    table = partition_table(n, max_k, alphabet)
+    columns = list(weak_columns(n, max_k, alphabet))
+    minors = weak_minor_table(alphabet, n, max_k)
+    closed = CLOSED.get(alphabet)
+    assert len(columns) == len(minors) == max_k + 1
+    for m in range(n + 1):
+        for k in range(max_k + 1):
+            assert columns[k][m] == minors[k][m] == table[m][k], (m, k)
+            if closed and m:
+                assert closed(m, k) == table[m][k], (m, k)
+    assert count_compositions(n, alphabet) == det_hessenberg(build_matrix(alphabet, n)) == (
+        table[n][0])

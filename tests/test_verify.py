@@ -7,7 +7,7 @@ from compcount import verify
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import weak_brute_table
 from compcount.errors import DomainError, GuardExceeded
-from compcount.recurrence import weak_counts
+from compcount.recurrence import weak_columns
 from compcount.reports import GridPoint, Report, summary, to_json, to_text
 from compcount.verify import (
     BATTERY,
@@ -173,31 +173,37 @@ def test_identity_runners_agree_on_small_grids():
     assert all(summary(r)[2] for r in run_identity("thm11", 8, 3))
 
 
-def test_thm8_reads_one_weak_series_per_alphabet_and_zero_count(monkeypatch):
-    columns = []
+def _record_chains(monkeypatch) -> list:
+    """The (n, max_k, alphabet) of every weak_columns chain verify reads."""
+    chains = []
 
-    def weak_column(n, k, alphabet):
-        columns.append((n, k, alphabet))
-        return weak_counts(n, k, alphabet)
+    def chain(n, max_k, alphabet):
+        chains.append((n, max_k, alphabet))
+        return weak_columns(n, max_k, alphabet)
 
-    monkeypatch.setattr(verify, "weak_counts", weak_column)
+    monkeypatch.setattr(verify, "weak_columns", chain)
+    return chains
+
+
+def test_thm8_reads_one_chain_of_weak_columns_per_alphabet(monkeypatch):
+    chains = _record_chains(monkeypatch)
     reports = run_identity("thm8", 7, 2)
-    assert sorted(columns, key=repr) == sorted(
-        ((7, k, alphabet) for _, alphabet in BATTERY for k in range(3)), key=repr)
+    assert sorted(chains, key=repr) == sorted(((7, 2, a) for _, a in BATTERY), key=repr)
     assert all(summary(r)[2] for r in reports)
 
 
-def test_thm12_reads_one_weak_series_per_zero_count(monkeypatch):
-    columns = []
-
-    def weak_column(n, k, alphabet):
-        columns.append((n, k, alphabet))
-        return weak_counts(n, k, alphabet)
-
-    monkeypatch.setattr(verify, "weak_counts", weak_column)
+def test_thm12_reads_one_chain_of_weak_columns(monkeypatch):
+    chains = _record_chains(monkeypatch)
     (report,) = run_identity("thm12", 7, 2)
-    assert columns == [(7, k, PartAlphabet.of(1, 3, 5, 7)) for k in range(3)]
+    assert chains == [(7, 2, PartAlphabet.of(1, 3, 5, 7))]
     assert all(p.lhs == p.rhs for p in report.points)
+
+
+def test_eq1_reads_one_chain_of_weak_columns(monkeypatch):
+    chains = _record_chains(monkeypatch)
+    (report,) = run_identity("eq1", 12, 3)
+    assert chains == [(12, 12, PartAlphabet.upto(2))]
+    assert len(report.points) == 13 * 14 // 2 and summary(report)[2]
 
 
 def test_verify_walks_each_brute_table_once_per_call(monkeypatch):

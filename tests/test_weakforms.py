@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import weak_brute_table
 from compcount.errors import DomainError
-from compcount.hessenberg import count_weak_minor_sum
+from compcount.hessenberg import count_weak_minor_sum, weak_minor_table
 from compcount.recurrence import (
-    count_compositions, decimal_weak_counts, weak_counts)
+    count_compositions, decimal_weak_counts, weak_columns, weak_counts)
 from compcount.verify import BATTERY, adjudicate_fib_block_identity
 from compcount.weakforms import (
     binomial,
@@ -109,6 +109,28 @@ def test_weak_counts_equal_folded_count_sequence(alphabet, n, k):
     prefix = sequence_prefix(alphabet, n)
     counts = weak_counts(n, k, alphabet)
     assert counts == [convolution_power(prefix, k + 1, j) for j in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphabets(), st.integers(0, 60), st.integers(0, 10))
+def test_every_weak_column_equals_the_minor_sums(alphabet, n, max_k):
+    # The minors fill the charpoly table from the band, a kernel the series
+    # shares nothing with, so every column is checked, not only the last.
+    columns = list(weak_columns(n, max_k, alphabet))
+    minors = weak_minor_table(alphabet, n, max_k)
+    assert len(columns) == len(minors) == max_k + 1
+    for k in range(max_k + 1):
+        for m in range(n + 1):
+            assert columns[k][m] == minors[k][m], (k, m)
+
+
+@pytest.mark.parametrize("n,k", [(-1, 0), (0, -1), (-3, -2)])
+def test_the_weak_series_refuses_a_negative_size_in_one_wording(n, k):
+    message = f"^target and zero count must be >= 0, got n={n}, k={k}$"
+    with pytest.raises(DomainError, match=message):
+        list(weak_columns(n, k, PartAlphabet.upto(2)))
+    with pytest.raises(DomainError, match=message):
+        weak_counts(n, k, PartAlphabet.upto(2))
 
 
 @pytest.mark.parametrize(
