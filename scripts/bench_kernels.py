@@ -11,14 +11,12 @@ the form of N/D (alphabet.RUN_FORM_MARGIN): `upto:22`, the last interval
 read dense, `upto:23`, the first read in the run form, and the wide
 colored run `1x2,...,60x2`, read in the run form. series: the weak series with no zeros, the
 first n + 1 terms of 1 / (1 - P), 1 divided in place (divide_series) by
-1 - P read from the alphabet's runs, a run of one or two values a term
-per value and a longer run two edges of a running sum, the open tail
-one, O(n*r) for r terms, which `table` and the weak counts use; `all`
-is one edge, and `upto:20`, `upto:50` and `upto:2000` two. det: the
+1 - P, the terms alphabet.lag_terms reads from the alphabet's runs,
+O(n*r) for r terms, which `table` and the weak counts use; `all` is one
+edge, and `upto:20`, `upto:50` and `upto:2000` two. det: the
 band, filled one slice per run of the alphabet, then the determinant as
 the one-slot row of the Hessenberg charpoly table: n rows of plain ints,
-each one addition per term of the band's runs (a run of one or two
-entries a term per entry, a longer run two, the constant tail one),
+each one addition per term of the band's runs (alphabet.lag_terms),
 holding a ring of the reach + 1 rows the terms read; so `upto:1000` at
 2000 costs what `all` costs.
 charpoly: the last row of the table, either n packed rows, each a shift
@@ -73,6 +71,9 @@ requests, and the last gap is the import that every table pays. The
 children see this script's environment less PYTHONDONTWRITEBYTECODE, so
 one untimed first round fills the bytecode cache and no timed run
 compiles a module that was just edited.
+
+RUNS is 11, so that every median, and every --against ratio, rests on
+at least ten runs a side (ten alternated pairs against REV).
 
 One line per point: for a kernel, the median seconds of RUNS timed runs,
 the tracemalloc peak of one more run, and the bit length of the value
@@ -135,7 +136,7 @@ import compcount
 from compcount.cli import cmd_table, parse_alphabet
 from compcount.recurrence import count_compositions, decimal_weak_counts, weak_counts
 
-RUNS = 5
+RUNS = 11
 POINTS = {
     "recurrence": (("upto:3", 10**4), ("upto:3", 10**5), ("upto:3", 10**6, 879146),
                    ("upto:4", 2 * 10**5), ("upto:8", 2 * 10**5), ("upto:13", 2 * 10**5),

@@ -6,14 +6,16 @@ final run may be open (``last = None``: every value from ``first`` on).
 So ``upto:K`` is the one run ``(1, K, 1)`` whatever K is, and
 ``PartAlphabet.of(1, 2) == PartAlphabet.upto(2)``. ``runs_within(n)`` is
 the one place a run is cut at n: the weak series, the band and
-``parts_within`` read it. A run a..b of q colors adds q (x^a - x^(b+1)) /
-(1 - x) to the generating function, so the runs give it in two forms: the
-dense 1 / (1 - sum_v q_v x^v), one term per value, and the run form
-(1 - x) / ((1 - x) - sum_runs q (x^a - x^(b+1))). ``generating_function``
-picks one by the rule beside ``RUN_FORM_MARGIN``, from the uncut runs on
-purpose (cut ones would flip ``upto(10**9)`` at length 10 to dense), with
-its own cut at x^length: no caller chooses a form. Counts are plain
-``int``; an alphabet is the tuple of its runs: immutable and hashable.
+``parts_within`` read it. ``lag_terms`` is the one place runs become the
+terms of 1 - P that the weak series and the band kernels read. A run
+a..b of q colors adds q (x^a - x^(b+1)) / (1 - x) to the generating
+function, so the runs give it in two forms: the dense 1 / (1 - sum_v q_v
+x^v), one term per value, and the run form (1 - x) / ((1 - x) - sum_runs
+q (x^a - x^(b+1))). ``generating_function`` picks one by the rule beside
+``RUN_FORM_MARGIN``, from the uncut runs on purpose (cut ones would flip
+``upto(10**9)`` at length 10 to dense), with its own cut at x^length: no
+caller chooses a form. Counts are plain ``int``; an alphabet is the
+tuple of its runs: immutable and hashable.
 """
 
 from .errors import DomainError
@@ -125,3 +127,25 @@ class PartAlphabet(tuple):
         spelled = self.parts_within(first if last is None else last)
         return ",".join(f"{v}x{q}" if q > 1 else str(v) for v, q in spelled) + (
             "..." if last is None else "")
+
+
+def lag_terms(runs, limit: int):
+    """The terms of sum_d v_d T(t - d), read at t <= limit with T 0 before
+    it starts, from ascending (first, last, v) runs of a nonzero v within
+    1..limit: (singles, edges) of (lag >= 1, coefficient). A run of one or
+    two lags is that many singles (d, v), read as v T(t - d). A longer one
+    a..b is, by summation by parts, v (S(t - a) - S(t - b - 1)), S the
+    running sum of T: the edges (a, v) and (b + 1, -v), merged where runs
+    meet (one that merges to 0 is dropped), and no end edge for a run to
+    limit, as it would read only T before it starts. A reader keeps W(t) =
+    sum_e u_e S(t - e) as one running value, W(t) = W(t - 1) + sum_e u_e
+    T(t - e), so a run costs two additions whatever its length."""
+    singles, edges = [], {}
+    for first, last, v in runs:
+        if last - first < 2:
+            singles += [(lag, v) for lag in range(first, last + 1)]
+        else:
+            edges[first] = edges.get(first, 0) + v
+            if last < limit:
+                edges[last + 1] = -v  # runs ascend: no edge is at last + 1 yet
+    return tuple(singles), tuple((lag, u) for lag, u in edges.items() if u)

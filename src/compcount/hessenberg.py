@@ -14,10 +14,7 @@ fixed order r, c_{n-r}(n), are all read from that table.
 
 Row j of the table is the polynomial R_j(y) = sum_i c_i(j) y^i, and the
 recurrence reads R_j = y R_{j-1} + sum_d v_d R_{j-d}, R_0 = 1. The band
-enters by its runs (_terms): a run of one or two entries as that many
-terms, a longer run of v over lags a..b, by summation by parts, as v
-(S_{j-a} - S_{j-b-1}), S being the running sum of the rows, and the
-constant tail of an unbounded alphabet as a run with no end. So each row
+enters by its runs, as alphabet.lag_terms reads them (_terms), so each row
 costs O(1) additions per run, whatever the runs' lengths. At y = 2^w a
 row is one int, w bits per slot (Kronecker substitution), and a row is a
 shift and one addition per term, each done in C (_last_row). A ring of
@@ -46,7 +43,7 @@ a route that shares no kernel with the weak series.
 from itertools import groupby
 from operator import itemgetter
 
-from .alphabet import PartAlphabet
+from .alphabet import PartAlphabet, lag_terms
 from .errors import DomainError
 
 
@@ -63,28 +60,17 @@ def build_matrix(alphabet: PartAlphabet, n: int) -> tuple[int, ...]:
 
 
 def _terms(band: tuple[int, ...]):
-    """The band as the terms of sum_d v_d T(t - d), T being the rows of the
-    charpoly table or the cells of one of its columns: (singles, edges),
-    each a tuple of (-lag, coefficient), negative to index T from its end.
-    A run of v over lags a..b of one or two entries is that many singles
-    (-d, v), read as v T(t - d). A longer one is, by summation by parts,
-    v (S(t - a) - S(t - b - 1)), S being the running sum of T: the edges
-    (-a, v) and (-(b + 1), -v), merged where runs meet, and no end edge for
-    the tail, a run to lag n. The kernels keep W(t) = sum_e u_e S(t - e)
-    as one running value, W(t) = W(t - 1) + sum_e u_e T(t - e), so a run
-    costs two additions whatever its length."""
-    singles, edges = [], {}
-    n, first = len(band), 1
+    """The band's runs of equal nonzero entries as lag_terms reads them, T
+    being the rows of the charpoly table or the cells of one of its
+    columns: (singles, edges) of (-lag, coefficient), negative to index T
+    from its end."""
+    runs, first = [], 1
     for v, group in groupby(band):
         last = first + len(tuple(group)) - 1
-        if v and last - first < 2:
-            singles += [(-lag, v) for lag in range(first, last + 1)]
-        elif v:
-            edges[-first] = edges.get(-first, 0) + v
-            if last < n:
-                edges[-last - 1] = -v
+        if v:
+            runs.append((first, last, v))
         first = last + 1
-    return tuple(singles), tuple((lag, u) for lag, u in edges.items() if u)
+    return tuple(tuple((-lag, u) for lag, u in part) for part in lag_terms(runs, len(band)))
 
 
 def _reach(terms) -> int:

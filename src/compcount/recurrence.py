@@ -18,20 +18,18 @@ k + 1 times by 1 - P; ``weak_columns`` yields every k from one chain.
 Nothing is cached: every call computes from the generating function.
 """
 
-from .alphabet import PartAlphabet
+from .alphabet import PartAlphabet, lag_terms
 from .errors import DomainError
 
 
 def divide_series(terms: list[int], singles, edges) -> None:
     """Replace the prefix ``terms`` of a series S, in place, with the same
-    prefix of S / (1 - P), P given by (lag >= 1, coefficient) terms: t_m =
+    prefix of S / (1 - P), P given as alphabet.lag_terms gives it: t_m =
     s_m + sum_singles q t_{m-v} + W_m, W_m = W_{m-1} + sum_edges u t_{m-e},
-    s_m read before it is overwritten. The edges (a, q) and (b + 1, -q) are
-    a run of q colors over a..b, by summation by parts, so W costs two
-    additions a run. A lag past m reads a zero padded after the prefix, so
-    no lag is tested. A sum starts from its first term and unit
-    coefficients skip the multiply: either would copy a big int. A zero is
-    stored as 0, never as a Decimal -0."""
+    s_m read before it is overwritten. A lag past m reads a zero padded
+    after the prefix, so no lag is tested. A sum starts from its first term
+    and unit coefficients skip the multiply: either would copy a big int. A
+    zero is stored as 0, never as a Decimal -0."""
     size = len(terms)
     terms += [0] * max((lag for lag, _ in (*singles, *edges)), default=0)
     run = 0
@@ -56,20 +54,12 @@ def divide_series(terms: list[int], singles, edges) -> None:
 
 def weak_columns(n: int, max_k: int, alphabet: PartAlphabet, one=1):
     """Column k = 0..max_k of the weak series to x^n: the prefix after division
-    k+1 of 1 by 1 - P (a copy, but for the last), P read from runs_within(n),
-    runs of one or two values as singles, longer ones as two edges. It only
-    adds, multiplies by small ints and tests truth: one = Decimal(1) gives Decimals."""
+    k+1 of 1 by 1 - P (a copy, but for the last), P the lag_terms of
+    runs_within(n). It only adds, multiplies by small ints and tests truth:
+    one = Decimal(1) gives Decimals."""
     if n < 0 or max_k < 0:
         raise DomainError(f"target and zero count must be >= 0, got n={n}, k={max_k}")
-    singles, edges = [], {}
-    for first, last, colors in alphabet.runs_within(n):
-        if last - first < 2:
-            singles += [(v, colors) for v in range(first, last + 1)]
-        else:
-            edges[first] = edges.get(first, 0) + colors
-            if last < n:
-                edges[last + 1] = -colors  # runs ascend: no edge is at last + 1 yet
-    edges = tuple(edges.items())
+    singles, edges = lag_terms(alphabet.runs_within(n), n)
     terms = [one] + [0] * n
     for k in range(max_k + 1):
         divide_series(terms, singles, edges)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compcount import cli, enumeration, hessenberg, verify
-from compcount.alphabet import PartAlphabet
+from compcount.alphabet import PartAlphabet, lag_terms
 from compcount.cli import main, parse_alphabet
 from compcount.errors import CompCountError, DomainError
 from compcount.recurrence import weak_counts
@@ -109,6 +109,51 @@ def test_runs_within_gives_each_value_up_to_the_limit_its_colors(alphabet, limit
 
     cut = {v: colors for first, last, colors in runs for v in range(first, last + 1)}
     assert cut == {v: colors_of(v) for v in range(1, limit + 1) if colors_of(v)}
+
+
+@st.composite
+def _signed_runs(draw):
+    """(runs, limit, T): ascending runs of a nonzero signed v, one to five
+    lags wide, after a gap or meeting the run before (with the same v or
+    not), the last cut at limit or running to it; T a list of limit + 1 ints."""
+    limit, runs, last = draw(st.integers(1, 24)), [], 0
+    while last < limit and draw(st.integers(0, 4)):
+        first = last + draw(st.integers(1, 3))
+        if first > limit:
+            break
+        last = min(limit, first + draw(st.integers(0, 4)))
+        runs.append((first, last, draw(st.integers(-4, 4).filter(bool))))
+    if runs and draw(st.booleans()):
+        runs[-1] = (runs[-1][0], limit, runs[-1][2])
+    size = limit + 1
+    return tuple(runs), limit, draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+
+
+@settings(max_examples=200)
+@given(_signed_runs())
+@example((((1, 3, 2), (4, 6, 2), (7, 7, -1)), 9, list(range(1, 11))))  # an edge merges to 0
+@example((((2, 3, 1), (4, 9, -3)), 9, [1] * 10))  # singles, then a run to the limit
+def test_lag_terms_read_each_lag_of_the_runs_once(case):
+    # Singles plus the running sum W of the edges give sum_d v_d T(t - d) at
+    # every t <= limit, T zero before it starts, for any T: each lag once.
+    runs, limit, values = case
+    singles, edges = lag_terms(runs, limit)
+    assert all(1 <= lag <= limit and u for lag, u in (*singles, *edges))
+    dense = {d: v for first, last, v in runs for d in range(first, last + 1)}
+
+    def T(t):
+        return values[t] if t >= 0 else 0
+
+    run = 0
+    for t in range(limit + 1):
+        run += sum(u * T(t - e) for e, u in edges)
+        assert sum(v * T(t - d) for d, v in singles) + run == sum(
+            v * T(t - d) for d, v in dense.items()), (t, singles, edges)
+
+
+def test_lag_terms_drop_an_edge_that_merges_to_zero_and_the_end_edge_at_the_limit():
+    assert lag_terms(((1, 3, 2), (4, 6, 2), (7, 7, -1)), 9) == (((7, -1),), ((1, 2), (7, -2)))
+    assert lag_terms(((2, 3, 1), (4, 9, -3)), 9) == (((2, 1), (3, 1)), ((4, -3),))
 
 
 @pytest.mark.parametrize("attribute", ["runs", "extra"])

@@ -446,12 +446,12 @@ def test_packed_rows_peak_near_the_ring_of_the_rows_the_terms_read(spec):
 def test_weak_minors_far_past_n_never_compute_a_slot_width(monkeypatch):
     # Weak minors read the columns whatever the table's shape, so no
     # determinant of the order n + k matrix is spent on w: neither for
-    # 10^5 + 1 columns of six cells on all nor for 51 columns of 501 cells
-    # on atleast:2. They hold two columns and the band at a time: the peak
-    # bound (MiB) fails a read that keeps every column's tail, 27.7 MiB on
-    # all at (5, 10^5).
+    # 10^4 + 1 columns of six cells on all nor for 51 columns of 501 cells
+    # on atleast:2. They hold two columns and the band at a time, 0.23 and
+    # 0.08 MiB: the 1 MiB bound fails a read that keeps every column's
+    # tail, 2.9 and 1.7 MiB.
     monkeypatch.setattr(hessenberg, "_slot_width", lambda band: pytest.fail("w computed"))
-    for n, k, spec, peak_mib in ((5, 10**5, "all", 4), (500, 50, "atleast:2", 1)):
+    for n, k, spec in ((5, 10**4, "all"), (500, 50, "atleast:2")):
         alphabet = parse_alphabet(spec)
         tracemalloc.start()
         try:
@@ -460,7 +460,7 @@ def test_weak_minors_far_past_n_never_compute_a_slot_width(monkeypatch):
         finally:
             tracemalloc.stop()
         assert value == weak_counts(n, k, alphabet)[n], (n, k, spec)
-        assert peak < peak_mib * 2**20, (n, k, spec, peak)
+        assert peak < 2**20, (n, k, spec, peak)
 
 
 @pytest.mark.parametrize("n,k,spec", [(2000, 10, "upto:1999"), (50, 2000, "all")])
