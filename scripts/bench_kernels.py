@@ -7,10 +7,13 @@ n = 10^6, on `upto:K` for K = 4, 8, 13, 32 at n = 2 * 10^5, on the wide
 denominator of `upto:1000`, and on `upto:1000000000` at n = 10^5, whose D
 ends at its last term below x^(n+1), so it halves the two terms of all's D
 and costs what `all` costs. At n = 10^4, both sides of the rule that picks
-the form of N/D (alphabet.RUN_FORM_MARGIN): `upto:22`, the last interval
-read dense, `upto:23`, the first read in the run form, and the wide
-colored run `1x2,...,60x2`, read in the run form. series: the weak series with no zeros, the
-first n + 1 terms of 1 / (1 - P), 1 divided in place (divide_series) by
+the form of N/D (alphabet.RUN_FORM_MARGIN) from the runs cut at n (a run
+that reaches n is read in the run form): `upto:22`, the last interval
+read dense, `upto:23`, the first read in the run form, the wide colored
+run `1x2,...,60x2`, read in the run form, and `1,2,3,20000,...,20100`,
+whose wide run lies past n: it is read dense, as `upto:3` is, and its
+count is upto:3's. series: the weak series with no zeros, the first
+n + 1 terms of 1 / (1 - P), 1 divided in place (divide_series) by
 1 - P, the terms alphabet.lag_terms reads from the alphabet's runs,
 O(n*r) for r terms, which `table` and the weak counts use; `all` is one
 edge, and `upto:20`, `upto:50` and `upto:2000` two. det: the
@@ -143,7 +146,8 @@ POINTS = {
                    ("upto:32", 2 * 10**5), ("upto:1000", 5000),
                    ("upto:1000000000", 10**5, 100000), ("upto:22", 10**4, 9999),
                    ("upto:23", 10**4, 9999),
-                   (",".join(f"{v}x2" for v in range(1, 61)), 10**4, 15850)),
+                   (",".join(f"{v}x2" for v in range(1, 61)), 10**4, 15850),
+                   ("1,2,3," + ",".join(map(str, range(20000, 20101))), 10**4, 8791)),
     "series": (("all", 5000), ("all", 10000), ("all", 20000), ("upto:20", 10000),
                ("upto:50", 10000), ("upto:2000", 10000)),
     "det": (("all", 10000), ("all", 20000), ("all", 40000), ("upto:1000", 2000, 1999)),
@@ -300,7 +304,7 @@ def measure_serialize(points, spec, size):
          decimal_s=decimal_s, table_s=table_s,
          bits=count_compositions(size[0], alphabet).bit_length())
     if not all(same for _, same in runs):
-        return (f"bench_kernels: suite=serialize alphabet={spec} n={size[0]} k={size[1]}:"
+        return (f"bench_kernels: suite=serialize alphabet={spec} {spell(size)}:"
                 " the int and Decimal rows differ")
 
 
@@ -327,7 +331,7 @@ def compare(rev, pair, suites):
                     same = same and value == values[side]
             rev_s, tree_s = map(statistics.median, seconds)
             rev_spread, tree_spread = map(spread, seconds)
-            point = f"n={size}" if isinstance(size, int) else f"n={size[0]} k={size[1]}"
+            point = spell(size)
             bits = [value.bit_length() for value in values]
             print(f"suite={suite} alphabet={spec} {point} rev_s={rev_s:.6f} tree_s={tree_s:.6f}"
                   f" ratio={tree_s / rev_s:.3f} rev_spread={rev_spread:.3f}"
@@ -340,6 +344,11 @@ def compare(rev, pair, suites):
     return failures
 
 
+def spell(size) -> str:
+    """A point's size as its lines print it: `n=N`, or `n=N k=K`."""
+    return f"n={size}" if isinstance(size, int) else f"n={size[0]} k={size[1]}"
+
+
 def gate(suite, spec, size, bits, *pinned):
     """The failure line of a kernel point whose value has the wrong bit
     length, else None: the bits pinned beside its POINTS entry, or n for
@@ -347,7 +356,7 @@ def gate(suite, spec, size, bits, *pinned):
     if not pinned and spec == "all" and suite in ("det", "charpoly", "series", "brute"):
         pinned = (size,) if isinstance(size, int) else ()
     if pinned and bits != pinned[0]:
-        return (f"bench_kernels: suite={suite} alphabet={spec} n={size} bits={bits}"
+        return (f"bench_kernels: suite={suite} alphabet={spec} {spell(size)} bits={bits}"
                 f" expected_bits={pinned[0]}")
 
 

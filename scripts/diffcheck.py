@@ -25,7 +25,8 @@ COMMANDS table, so a run can be replayed exactly:
   ``upto:0`` and ``,,``.
 
 Sizes stay cheap: n <= 60 and k <= 10, brute requests with n + k <= 16
-(or refused, n or k above the default guard of 25), verify grids with
+(or refused, n or k above the working tree's enumeration.DEFAULT_GUARD,
+loaded beside its cli and errors), verify grids with
 max-n <= 8 and max-k <= 3, and matrix --minorsum at any order, which is
 refused past order 22. A drawn argv that the working tree parses to a
 larger request is drawn again. Out of scope: signals, closed file
@@ -50,7 +51,6 @@ BAD_SPECS = ("1x0", "3,2", "upto:0", ",,", "", "x", "1x", "0", "1,1", "upto:x", 
              "atleast:0", "2,7x3,5", "1x-2", "1,,2")
 # The largest cheap value of each int; brute requests are cut further below.
 LIMITS = {"n": 60, "k": 10, "n-max": 60, "max-n": 8, "max-k": 3}
-GUARD = 25  # enumeration.DEFAULT_GUARD: brute requests past it are refused
 
 
 def outcome(cli, argv):
@@ -145,9 +145,10 @@ def draw(rng, cli):
     return [command] + [token for group in groups for token in group]
 
 
-def cheap(parse, refusal, argv) -> bool:
+def cheap(parse, refusal, guard, argv) -> bool:
     """Whether the working tree refuses ``argv`` as it parses it, or parses
-    it to a request within the sizes above."""
+    it to a request within the sizes above; brute requests past ``guard``
+    are refused."""
     try:
         _, args = parse(argv)
     except refusal:
@@ -156,18 +157,18 @@ def cheap(parse, refusal, argv) -> bool:
         return True
     if args.get("method") == "brute":
         n, k = args["n"], args.get("k", 0)
-        return min(n, k) < 0 or n + k <= 16 or max(n, k) > GUARD
+        return min(n, k) < 0 or n + k <= 16 or max(n, k) > guard
     return all(args[name] is None or args[name] <= bound
                for name, bound in LIMITS.items() if name in args)
 
 
-def argvs(count, tree_cli, refusal):
+def argvs(count, tree_cli, refusal, guard):
     """Every golden argv, then ``count`` cheap draws by random.Random(0)."""
     yield from (case["argv"] for case in json.loads(GOLDEN.read_text()))
     rng = random.Random(0)
     for _ in range(count):
         argv = draw(rng, tree_cli)
-        while not cheap(tree_cli.parse_args, refusal, argv):
+        while not cheap(tree_cli.parse_args, refusal, guard, argv):
             argv = draw(rng, tree_cli)
         yield argv
 
@@ -176,8 +177,9 @@ def replay(rev, pair, count) -> int:
     """0 if both trees give the same outcome on every argv, else 1."""
     rev_cli, tree_cli = (importlib.import_module(f"{p.__name__}.cli") for p in pair)
     refusal = importlib.import_module(f"{pair[1].__name__}.errors").CompCountError
+    guard = importlib.import_module(f"{pair[1].__name__}.enumeration").DEFAULT_GUARD
     exits = Counter()
-    for argv in argvs(count, tree_cli, refusal):
+    for argv in argvs(count, tree_cli, refusal, guard):
         rev_side, tree_side = outcome(rev_cli, argv), outcome(tree_cli, argv)
         if rev_side != tree_side:
             print(f"diffcheck: {json.dumps(argv)} differs")

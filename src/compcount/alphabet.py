@@ -5,17 +5,16 @@ consecutive values that share one color count, ascending, where only the
 final run may be open (``last = None``: every value from ``first`` on).
 So ``upto:K`` is the one run ``(1, K, 1)`` whatever K is, and
 ``PartAlphabet.of(1, 2) == PartAlphabet.upto(2)``. ``runs_within(n)`` is
-the one place a run is cut at n: the weak series, the band and
-``parts_within`` read it. ``lag_terms`` is the one place runs become the
-terms of 1 - P that the weak series and the band kernels read. A run
-a..b of q colors adds q (x^a - x^(b+1)) / (1 - x) to the generating
-function, so the runs give it in two forms: the dense 1 / (1 - sum_v q_v
-x^v), one term per value, and the run form (1 - x) / ((1 - x) - sum_runs
-q (x^a - x^(b+1))). ``generating_function`` picks one by the rule beside
-``RUN_FORM_MARGIN``, from the uncut runs on purpose (cut ones would flip
-``upto(10**9)`` at length 10 to dense), with its own cut at x^length: no
-caller chooses a form. Counts are plain ``int``; an alphabet is the
-tuple of its runs: immutable and hashable.
+the one place a run is cut at n: the generating function, the weak
+series, the band and ``parts_within`` read it. ``lag_terms`` is the one
+place runs become the terms of 1 - P that the weak series and the band
+kernels read. A run a..b of q colors adds q (x^a - x^(b+1)) / (1 - x) to
+the generating function, so the runs give it in two forms: the dense
+1 / (1 - sum_v q_v x^v), one term per value, and the run form (1 - x) /
+((1 - x) - sum_runs q (x^a - x^(b+1))). ``generating_function(n)`` picks
+one by the rule beside ``RUN_FORM_MARGIN``: no caller chooses a form.
+Counts are plain ``int``; an alphabet is the tuple of its runs:
+immutable and hashable.
 """
 
 from .errors import DomainError
@@ -86,24 +85,24 @@ class PartAlphabet(tuple):
         (1, bound, 1), which ``__new__`` checks (bound None is ``all``)."""
         return cls(((1, bound, 1),))
 
-    def generating_function(self, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(N, D), D[0] = 1, with sum_n c(n) x^n = N(x) / D(x): the run form if
-        its nonzero terms are at most 1/RUN_FORM_MARGIN of the dense form's
-        (always for an open run, which has infinitely many dense terms), else
-        the dense one; the runs alone decide, and N = (1, -1) marks the run
-        form. D holds the form's terms below x^length, so c(0..length-1)
-        hold, and ends at the last, none being 0: a run past x^length costs
-        what an open run costs, and a huge part value allocates nothing."""
+    def generating_function(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, D), D[0] = 1, whose N(x) / D(x) begins c(0), ..., c(n), either form
+        read from runs_within(n): the run form, N = (1, -1), if a run reaches n
+        (two terms whatever its width) or its nonzero terms are at most
+        1/RUN_FORM_MARGIN of the dense form's, else the dense one. No run has
+        an end edge past x^n, so D ends at its last term, none being 0, and a
+        huge part value allocates nothing."""
+        runs = self.runs_within(n)
         edges = {0: 1, 1: -1}
-        for first, last, colors in self:
+        for first, last, colors in runs:
             edges[first] = edges.get(first, 0) - colors
-            if last is not None:
+            if last < n:
                 edges[last + 1] = colors  # runs ascend: no edge is at last + 1 yet
-        if self[-1][1] is None or RUN_FORM_MARGIN * (2 + len(edges)) <= 2 + sum(
-                last - first + 1 for first, last, _ in self):
-            num, terms = (1, -1), [(p, c) for p, c in edges.items() if p < length]
+        if runs and runs[-1][1] == n or RUN_FORM_MARGIN * (2 + len(edges)) <= 2 + sum(
+                last - first + 1 for first, last, _ in runs):
+            num, terms = (1, -1), edges.items()
         else:
-            num, terms = (1,), [(0, 1), *((v, -q) for v, q in self.parts_within(length - 1))]
+            num, terms = (1,), [(0, 1), *((v, -q) for v, q in self.parts_within(n))]
         den = [0] * (max(power for power, _ in terms) + 1)
         for power, coefficient in terms:
             den[power] = coefficient

@@ -178,4 +178,4 @@ def count_compositions(n: int, alphabet: PartAlphabet) -> int:
     """c(n, alphabet); c(0) = 1 for the empty composition."""
     if n < 0:
         raise DomainError(f"target must be >= 0, got {n}")
-    return series_term(*alphabet.generating_function(n + 1), n)
+    return series_term(*alphabet.generating_function(n), n)

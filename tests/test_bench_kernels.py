@@ -34,6 +34,11 @@ def test_a_point_off_by_one_bit_fails_and_a_right_one_passes():
         assert bench_kernels.gate(*point, 1) is None
 
 
+def test_a_failed_gate_spells_an_n_k_point_as_its_line_does():
+    assert bench_kernels.gate("minors", "all", (5, 10**5), 76, 77) == (
+        "bench_kernels: suite=minors alphabet=all n=5 k=100000 bits=76 expected_bits=77")
+
+
 def test_the_recurrence_suite_pins_its_largest_count():
     assert ("upto:3", 10**6, 879146) in bench_kernels.POINTS["recurrence"]
 
@@ -46,12 +51,15 @@ def test_the_recurrence_suite_pins_the_interval_wider_than_n():
 
 def test_the_recurrence_suite_times_both_sides_of_the_form_rule():
     # upto:22 is the last interval read dense, upto:23 the first read in the
-    # run form, and 1x2,...,60x2 a colored run read in the run form.
+    # run form, 1x2,...,60x2 a colored run read in the run form, and
+    # 1,2,3,20000,...,20100 is read dense: its wide run lies past n.
     colored = ",".join(f"{v}x2" for v in range(1, 61))
+    past_n = "1,2,3," + ",".join(map(str, range(20000, 20101)))
     points = {spec: size for spec, size, *_ in bench_kernels.POINTS["recurrence"]}
-    for spec, num in (("upto:22", (1,)), ("upto:23", (1, -1)), (colored, (1, -1))):
+    for spec, num in (("upto:22", (1,)), ("upto:23", (1, -1)), (colored, (1, -1)),
+                      (past_n, (1,))):
         assert points[spec] == 10**4
-        assert parse_alphabet(spec).generating_function(10**4 + 1)[0] == num
+        assert parse_alphabet(spec).generating_function(10**4)[0] == num
 
 
 def test_the_eq1_suite_pins_the_middle_cell_of_the_last_row():

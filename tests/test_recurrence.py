@@ -1,8 +1,10 @@
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from compcount import alphabet as alphabet_module
 from compcount.alphabet import PartAlphabet
 from compcount.enumeration import weak_brute_table
 from compcount.errors import DomainError
@@ -14,12 +16,14 @@ from paper_refs import fibonacci, kstep_fibonacci, sequence_prefix
 from strategies import alphabets
 
 
+# Each case pins the terms that c(0), ..., c(length - 1) read, so at n = length - 1.
 @pytest.mark.parametrize(
     "alphabet,length,expected",
     [
         (PartAlphabet.at_least(1), 9, ((1, -1), (1, -2))),
         (PartAlphabet.at_least(3), 9, ((1, -1), (1, -1, 0, -1))),
-        (PartAlphabet.at_least(3), 3, ((1, -1), (1, -1))),
+        # No run within n: the dense 1, which the rule reads from no runs.
+        (PartAlphabet.at_least(3), 3, ((1,), (1,))),
         (PartAlphabet.of((1, 2), 3), 9, ((1,), (1, -2, 0, -1))),
         (PartAlphabet.of((2, 3), (5, 1)), 9, ((1,), (1, 0, -3, 0, 0, -1))),
         (PartAlphabet.of((2, 3), (5, 1)), 4, ((1,), (1, 0, -3))),
@@ -27,10 +31,11 @@ from strategies import alphabets
         (PartAlphabet.upto(3), 9, ((1,), (1, -1, -1, -1))),
         (PartAlphabet.upto(10**9), 4, ((1, -1), (1, -2))),
         (PartAlphabet.of(2, 3, 4), 9, ((1,), (1, 0, -1, -1, -1))),
-        (PartAlphabet.of(2, 3, 4), 3, ((1,), (1, 0, -1))),
-        (PartAlphabet(((5, 10**12, 1),)), 4, ((1, -1), (1, -1))),
-        # Up to x^n the same series as all's: the edge at x^2001 lies past
-        # the cut, and D ends at its last term below it.
+        # The run 2..4 cut at n = 2 reaches n: the run form, with no end edge.
+        (PartAlphabet.of(2, 3, 4), 3, ((1, -1), (1, -1, -1))),
+        (PartAlphabet(((5, 10**12, 1),)), 4, ((1,), (1,))),
+        # Up to x^n the same series as all's: the run reaches n, so it has no
+        # end edge, and D ends at its last term.
         (PartAlphabet.upto(2000), 2001, ((1, -1), (1, -2))),
         # A wide colored run: five nonzero terms, whatever its width.
         (PartAlphabet.of(*((v, 3) for v in range(1, 5001))), 6000,
@@ -42,7 +47,7 @@ from strategies import alphabets
     ],
 )
 def test_generating_function_transcribes_the_alphabet(alphabet, length, expected):
-    assert alphabet.generating_function(length) == expected
+    assert alphabet.generating_function(length - 1) == expected
 
 
 def _singles(den):
@@ -50,17 +55,18 @@ def _singles(den):
     return tuple((i, -d) for i, d in enumerate(den) if i and d), ()
 
 
-def _both_forms(alphabet, length):
-    """(alphabet, N) pairs that reach both forms of N/D below x^length. A
-    bounded alphabet gives the dense form, N = (1,), by itself, and the run
-    form, N = (1, -1), once one wide run is appended at or past x^length
-    after a gap: that run changes no term below x^length, but its width
-    counts in the rule. An open alphabet has only the run form."""
-    last = alphabet[-1][1]
-    if last is None:
-        return ((alphabet, (1, -1)),)
-    start = max(length, last + 2)
-    return (alphabet, (1,)), (PartAlphabet((*alphabet, (start, start + 10**9, 1))), (1, -1))
+def _both_forms(alphabet, n):
+    """(N expected, (N, D)) for each form of the alphabet's N/D at n: a
+    RUN_FORM_MARGIN of 0 forces the run form, N = (1, -1), and one above any
+    term count the dense form, N = (1,), unless a run reaches n, which the
+    rule reads in the run form whatever the margin."""
+    runs = alphabet.runs_within(n)
+    dense = (1, -1) if runs and runs[-1][1] == n else (1,)
+    forms = []
+    for margin, num in ((0, (1, -1)), (n + 3, dense)):
+        with patch.object(alphabet_module, "RUN_FORM_MARGIN", margin):
+            forms.append((num, alphabet.generating_function(n)))
+    return forms
 
 
 def test_divide_series_expands_the_fibonacci_series():
@@ -76,33 +82,42 @@ def test_generating_function_series_matches_brute(alphabet):
     # One color per value keeps the brute stream at n = 12 within 2^11
     # compositions; colored alphabets meet the brute oracle at n <= 9 below.
     expected = [weak_brute_table(n, 0, alphabet)[n][0] for n in range(13)]
-    for form, form_num in _both_forms(alphabet, 13):
-        num, den = form.generating_function(13)
+    for form_num, (num, den) in _both_forms(alphabet, 12):
         assert num == form_num
         series = [*num] + [0] * (13 - len(num))
         divide_series(series, *_singles(den))
-        assert series == expected, form
+        assert series == expected, form_num
 
 
-# Runs wide enough for the rule to read them in the run form by themselves;
-# the single huge value 10^12, read dense by itself, is drawn beside them.
-_WIDE_RUNS = (PartAlphabet.upto(10**9), PartAlphabet(((5, 10**12, 1),)))
+# A huge single value and runs wider than any n, drawn beside small alphabets.
+_HUGE = (PartAlphabet.of(10**12), PartAlphabet.upto(10**9), PartAlphabet(((5, 10**12, 1),)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(alphabets(), st.sampled_from((PartAlphabet.of(10**12), *_WIDE_RUNS))),
-       st.integers(1, 60))
-def test_generating_function_ends_at_a_nonzero_term(alphabet, length):
-    forms = ((alphabet, (1, -1)),) if alphabet in _WIDE_RUNS else _both_forms(alphabet, length)
-    for form, form_num in forms:
-        num, den = form.generating_function(length)
-        assert num == form_num and den[0] == 1 and den[-1] != 0, form
+@given(st.one_of(alphabets(), st.sampled_from(_HUGE)), st.integers(0, 60))
+def test_generating_function_ends_at_a_nonzero_term(alphabet, n):
+    for form_num, (num, den) in _both_forms(alphabet, n):
+        assert num == form_num and den[0] == 1 and den[-1] != 0, form_num
+
+
+@settings(max_examples=100, deadline=None)
+@given(alphabets(), st.integers(0, 60))
+@example(PartAlphabet(((1, 3, 1),)), 60)
+def test_a_run_past_n_changes_no_generating_function(alphabet, n):
+    # The wide run appended past the cut is one that runs_within(n) drops:
+    # neither the terms nor the form may read it.
+    if alphabet[-1][1] is not None:
+        start = max(n + 1, alphabet[-1][1] + 2)
+        alphabet = PartAlphabet((*alphabet, (start, start + 10**6, 1)))
+    runs = alphabet.runs_within(n)
+    if runs:
+        assert alphabet.generating_function(n) == PartAlphabet(runs).generating_function(n)
 
 
 def test_an_interval_wider_than_n_counts_as_its_open_run():
     # upto:10^9 at n = 10^5 reads the two terms of all's D, not 10^5 + 1.
     alphabet = PartAlphabet.upto(10**9)
-    assert alphabet.generating_function(10**5 + 1)[1] == (1, -2)
+    assert alphabet.generating_function(10**5)[1] == (1, -2)
     assert count_compositions(10**5, alphabet) == count_compositions(
         10**5, PartAlphabet.at_least(1))
 
@@ -187,17 +202,16 @@ def test_unbounded_alphabet_matches_explicit_expansion():
 def test_recurrence_agrees_with_brute_on_random_alphabets(alphabet, n):
     expected = weak_brute_table(n, 0, alphabet)[n][0]
     assert count_compositions(n, alphabet) == expected
-    for form, form_num in _both_forms(alphabet, n + 1):
-        num, den = form.generating_function(n + 1)
+    for form_num, (num, den) in _both_forms(alphabet, n):
         assert num == form_num
-        assert series_term(num, den, n) == expected, form
+        assert series_term(num, den, n) == expected, form_num
 
 
 def test_a_wide_colored_run_matches_brute():
-    # 1x3,...,60x3 takes the run form, so the -4x of (1 - x) - 3(x - x^61)
-    # is checked against the oracle directly.
+    # 1x3,...,60x3 cut at n reaches n and takes the run form, so the -4x of
+    # (1 - x) - 3x is checked against the oracle directly.
     alphabet = PartAlphabet.of(*((v, 3) for v in range(1, 61)))
-    assert alphabet.generating_function(11)[0] == (1, -1)
+    assert alphabet.generating_function(10) == ((1, -1), (1, -4))
     assert [count_compositions(n, alphabet) for n in range(11)] == [
         weak_brute_table(n, 0, alphabet)[n][0] for n in range(11)
     ]
